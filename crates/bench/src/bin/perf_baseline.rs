@@ -350,9 +350,9 @@ struct Baseline {
     serve: ServeBench,
 }
 
-// The vendored serde_json shim cannot serialize nested structs, so the
-// baseline file is written and read with a hand-rolled (but ordinary)
-// JSON encoding: flat `"key": number` pairs inside two fixed objects.
+// The baseline file is ordinary JSON written with `format!`: flat
+// `"key": number` pairs inside fixed objects, with keys unique across
+// the document so `--check` can read them back with `json_f64`.
 
 impl Baseline {
     fn to_json(&self) -> String {

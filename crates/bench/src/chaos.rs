@@ -17,19 +17,19 @@
 //!    apps, dropping faults, shrinking sizes, simplifying the device —
 //!    while the failure (same category) reproduces.
 //! 4. The minimized case is serialized with [`case_to_json`] into a
-//!    repro file that `hq repro <file>` replays via [`run_repro`].
+//!    repro file that `hyperq repro <file>` replays.
 //!
 //! Everything is deterministic: the same soak seed yields the same
-//! cases, outcomes and repro files. JSON is hand-rolled (writer *and*
-//! parser, via [`crate::util::codec`]) because the vendored
-//! `serde_json` shim cannot round-trip nested structures.
+//! cases, outcomes and repro files. Repros are written and read with
+//! [`hq_des::json`].
 
-use crate::util::codec::{esc_json, fnv1a, parse_json};
+use crate::util::codec::fnv1a;
 use crate::util::write_atomic;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+use hq_des::json::{parse_json, Json};
 use hq_des::rng::DetRng;
 use hq_des::time::Dur;
 use hq_gpu::prelude::*;
@@ -411,11 +411,11 @@ pub fn run_case(spec: &CaseSpec) -> CaseOutcome {
 // Batched case execution
 // ---------------------------------------------------------------------
 
-/// Per-case outcome memo keyed by the case's canonical JSON rendering
-/// ([`case_to_json`] — fully self-describing, so equal JSON ⇔ equal
-/// trajectory). Outcomes are tiny (an events count or a failure
-/// string), so the memo stays cheap across hundreds of thousands of
-/// cases. Honors `HQ_SCENARIO_CACHE=off|0` like the scenario cache.
+/// Per-case outcome memo keyed by the case's compact JSON rendering
+/// (the [`case_to_json`] document — fully self-describing, so equal
+/// JSON ⇔ equal trajectory). Outcomes are tiny (an events count or a
+/// failure string), so the memo stays cheap across hundreds of
+/// thousands of cases. Honors `HQ_SCENARIO_CACHE=off|0` like the scenario cache.
 type CaseMemo = Mutex<HashMap<u64, (String, CaseOutcome)>>;
 
 fn case_memo() -> &'static CaseMemo {
@@ -467,7 +467,7 @@ pub fn run_case_batch(specs: &[CaseSpec]) -> Vec<CaseOutcome> {
             cold.push(i);
             continue;
         }
-        let pre = case_to_json(spec);
+        let pre = case_json(spec).render(false);
         let key = fnv1a(pre.as_bytes());
         if let Some(out) = {
             let memo = case_memo().lock();
@@ -612,101 +612,73 @@ fn candidates(spec: &CaseSpec) -> Vec<CaseSpec> {
     out
 }
 
-/// Greedily minimize a failing case: repeatedly accept the first
-/// candidate that still fails in the same category, until no candidate
-/// does (or a round budget is exhausted). Returns the minimized spec
-/// and the number of accepted shrink steps.
+/// Greedily minimize a failing case while it still fails in the same
+/// category (see [`crate::util::shrink`]). Each accepted step strictly
+/// simplifies; the 200-round cap keeps pathological cases from soaking
+/// the soak. Returns the minimized spec and the accepted step count.
 pub fn shrink(spec: &CaseSpec, kind: FailureKind) -> (CaseSpec, usize) {
-    let mut current = spec.clone();
-    let mut steps = 0;
-    // Bounded: each accepted step strictly simplifies, but cap rounds
-    // to keep pathological cases from soaking the soak.
-    for _ in 0..200 {
-        let mut advanced = false;
-        for cand in candidates(&current) {
-            if let CaseOutcome::Fail(k, _) = run_case(&cand) {
-                if k == kind {
-                    current = cand;
-                    steps += 1;
-                    advanced = true;
-                    break;
-                }
-            }
-        }
-        if !advanced {
-            break;
-        }
-    }
-    (current, steps)
+    let fails = |c: &CaseSpec| matches!(run_case(c), CaseOutcome::Fail(k, _) if k == kind);
+    crate::util::shrink(spec, candidates, fails, 200)
 }
 
 // ---------------------------------------------------------------------
-// JSON repro files (hand-rolled writer + the shared `util::codec`
-// parser; the vendored serde_json shim cannot round-trip nested
-// structures)
+// JSON repro files
 // ---------------------------------------------------------------------
 
-/// Serialize a case (with format version) into a pretty JSON repro.
+/// Serialize a case into a pretty JSON repro inside the
+/// `{"kind": "chaos", "version", …}` envelope.
 pub fn case_to_json(spec: &CaseSpec) -> String {
-    let mut s = String::with_capacity(1024);
-    s.push_str("{\n");
-    s.push_str(&format!("  \"version\": {},\n", REPRO_VERSION));
-    s.push_str(&format!("  \"seed\": {},\n", spec.seed));
-    s.push_str(&format!("  \"num_smx\": {},\n", spec.num_smx));
-    s.push_str(&format!("  \"hw_queues\": {},\n", spec.hw_queues));
-    s.push_str(&format!(
-        "  \"conservative_fit\": {},\n",
-        spec.conservative_fit
-    ));
-    s.push_str(&format!("  \"issue_order\": {},\n", spec.issue_order));
-    s.push_str(&format!("  \"chunk_kb\": {},\n", spec.chunk_kb));
-    s.push_str(&format!("  \"stagger_us\": {},\n", spec.stagger_us));
-    s.push_str(&format!("  \"jitter_ns\": {},\n", spec.jitter_ns));
-    s.push_str(&format!("  \"watchdog_us\": {},\n", spec.watchdog_us));
-    s.push_str("  \"apps\": [\n");
-    for (i, a) in spec.apps.iter().enumerate() {
-        s.push_str("    {");
-        s.push_str(&format!(
-            "\"stream\": {}, \"htod_kb\": {}, \"dtoh_kb\": {}, \"use_mutex\": {}, \"mutex_sync\": {}, ",
-            a.stream, a.htod_kb, a.dtoh_kb, a.use_mutex, a.mutex_sync
-        ));
-        s.push_str("\"kernels\": [");
-        for (j, k) in a.kernels.iter().enumerate() {
-            s.push_str(&format!(
-                "{{\"blocks\": {}, \"tpb\": {}, \"work_us\": {}, \"smem_kb\": {}, \"regs\": {}}}",
-                k.blocks, k.tpb, k.work_us, k.smem_kb, k.regs
-            ));
-            if j + 1 < a.kernels.len() {
-                s.push_str(", ");
-            }
-        }
-        s.push_str("]}");
-        if i + 1 < spec.apps.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"faults\": [\n");
-    for (i, f) in spec.faults.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"kind\": \"{}\", \"app\": {}, \"nth\": {}}}",
-            esc_json(&f.kind.to_string()),
-            f.app,
-            f.nth
-        ));
-        if i + 1 < spec.faults.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!("  \"copy_fail_pm\": {},\n", spec.copy_fail_pm));
-    s.push_str(&format!("  \"kernel_fault_pm\": {},\n", spec.kernel_fault_pm));
-    s.push_str(&format!("  \"kernel_hang_pm\": {},\n", spec.kernel_hang_pm));
-    s.push_str(&format!("  \"fault_seed\": {}\n", spec.fault_seed));
-    s.push_str("}\n");
-    s
+    case_json(spec).render(true) + "\n"
+}
+
+/// The case as a JSON value: the repro document, and (rendered
+/// compactly) the per-case memo key.
+fn case_json(spec: &CaseSpec) -> Json {
+    let apps = spec.apps.iter().map(|a| {
+        let kernels = a.kernels.iter().map(|k| {
+            Json::obj([
+                ("blocks", k.blocks.into()),
+                ("tpb", k.tpb.into()),
+                ("work_us", k.work_us.into()),
+                ("smem_kb", k.smem_kb.into()),
+                ("regs", k.regs.into()),
+            ])
+        });
+        Json::obj([
+            ("stream", a.stream.into()),
+            ("htod_kb", a.htod_kb.into()),
+            ("dtoh_kb", a.dtoh_kb.into()),
+            ("use_mutex", a.use_mutex.into()),
+            ("mutex_sync", a.mutex_sync.into()),
+            ("kernels", kernels.collect()),
+        ])
+    });
+    let faults = spec.faults.iter().map(|f| {
+        Json::obj([
+            ("kind", f.kind.to_string().into()),
+            ("app", f.app.into()),
+            ("nth", f.nth.into()),
+        ])
+    });
+    Json::obj([
+        ("kind", "chaos".into()),
+        ("version", REPRO_VERSION.into()),
+        ("seed", spec.seed.into()),
+        ("num_smx", spec.num_smx.into()),
+        ("hw_queues", spec.hw_queues.into()),
+        ("conservative_fit", spec.conservative_fit.into()),
+        ("issue_order", spec.issue_order.into()),
+        ("chunk_kb", spec.chunk_kb.into()),
+        ("stagger_us", spec.stagger_us.into()),
+        ("jitter_ns", spec.jitter_ns.into()),
+        ("watchdog_us", spec.watchdog_us.into()),
+        ("apps", apps.collect()),
+        ("faults", faults.collect()),
+        ("copy_fail_pm", spec.copy_fail_pm.into()),
+        ("kernel_fault_pm", spec.kernel_fault_pm.into()),
+        ("kernel_hang_pm", spec.kernel_hang_pm.into()),
+        ("fault_seed", spec.fault_seed.into()),
+    ])
 }
 
 fn fault_kind_from_str(s: &str) -> Result<FaultKind, String> {
@@ -721,6 +693,12 @@ fn fault_kind_from_str(s: &str) -> Result<FaultKind, String> {
 /// Parse a repro JSON back into a [`CaseSpec`].
 pub fn case_from_json(text: &str) -> Result<CaseSpec, String> {
     let root = parse_json(text)?;
+    match root.get("kind") {
+        // Repros written before the envelope existed carry no kind.
+        None => {}
+        Some(Json::Str(k)) if k == "chaos" => {}
+        Some(k) => return Err(format!("repro kind {} is not a chaos case", k.render(false))),
+    }
     let version = root.num("version")?;
     if version != REPRO_VERSION {
         return Err(format!(
@@ -786,16 +764,6 @@ pub fn case_from_json(text: &str) -> Result<CaseSpec, String> {
 /// leave a torn repro behind — the file is either absent or complete.
 pub fn write_repro(path: &std::path::Path, spec: &CaseSpec) -> std::io::Result<()> {
     write_atomic(path, &case_to_json(spec))
-}
-
-/// Load a repro file and replay it with the auditor enabled. Returns
-/// `Ok(outcome)` when the file parses (the *case* may still fail — the
-/// point of a repro), `Err` when the file itself is unusable.
-pub fn run_repro(path: &std::path::Path) -> Result<CaseOutcome, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let spec = case_from_json(&text)?;
-    Ok(run_case(&spec))
 }
 
 #[cfg(test)]
@@ -881,7 +849,7 @@ mod tests {
         assert!(case_from_json(&json).is_ok());
     }
 
-    /// `write_repro` round-trips through `run_repro` and leaves no
+    /// `write_repro` round-trips through `case_from_json` and leaves no
     /// temp file behind.
     #[test]
     fn write_repro_round_trips() {

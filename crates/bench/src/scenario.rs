@@ -399,12 +399,12 @@ pub fn verify_cache_entry(text: &str, expect_key: Option<u64>) -> Result<(), Str
 // ---------------------------------------------------------------------
 // On-disk encoding.
 //
-// The vendored serde_json shim cannot serialize nested structs, so
-// entries use a hand-rolled line-oriented text format: a header with
-// the format version, the escaped key preimage (verified on load), and
-// one section per `RunOutcome` component. Floats are rendered with
-// `{:?}` (Rust's shortest round-trip representation) and times as
-// nanosecond integers, so a decode is bit-exact. The `PowerReport` and
+// Entries use a versioned, checksummed line-oriented text format: a
+// header with the format version, a body checksum, the escaped key
+// preimage (verified on load), and one section per `RunOutcome`
+// component, so a torn or stale entry is rejected on load. Floats are
+// rendered with `{:?}` (Rust's shortest round-trip representation) and
+// times as nanosecond integers, so a decode is bit-exact. The `PowerReport` and
 // the result's `DeviceConfig` are *not* stored: power is recomputed
 // from the decoded result (a pure function), and the device is the
 // config's device — except for its `hw_queues`, which the Degrade

@@ -1,9 +1,9 @@
 //! Wire protocol for the scenario service: length-prefixed frames over
 //! a Unix-domain socket carrying one-line requests and responses.
 //!
-//! The vendored `serde_json` shim cannot round-trip nested structures,
-//! so the protocol reuses the crate's hand-rolled line codec
-//! ([`crate::util::codec`]): every payload is a single line of
+//! Frames use the crate's versioned line codec
+//! ([`crate::util::codec`]), the same one the journal and the scenario
+//! cache use, rather than JSON: every payload is a single line of
 //! space-separated tokens whose string-valued fields are percent-escaped
 //! with [`esc`]. A frame is
 //!

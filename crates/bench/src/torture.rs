@@ -33,7 +33,7 @@
 //! On failure, [`shrink`] greedily minimizes the case (fewer tenants,
 //! fewer jobs, fault rates zeroed) while the same failure category
 //! reproduces, and the result is written as a JSON repro via
-//! [`write_repro`] / replayed via [`run_repro`].
+//! [`write_repro`] that `hyperq repro` replays.
 //!
 //! Case *generation* is deterministic (same soak seed, same cases) and
 //! both fault streams are seeded; execution involves real threads, so a
@@ -45,9 +45,10 @@ use crate::service::scrub::{scrub, ScrubOptions};
 use crate::service::{
     Client, JobSpec, Journal, NetFaultPlan, Reject, Request, Response, ServeOptions, Server,
 };
-use crate::util::codec::{fnv1a, parse_json};
+use crate::util::codec::fnv1a;
 use crate::util::io::{self, IoFaultPlan};
 use crate::util::write_atomic;
+use hq_des::json::{parse_json, Json};
 use hq_des::rng::DetRng;
 use hq_workloads::apps::AppKind;
 use std::collections::HashSet;
@@ -662,58 +663,38 @@ fn candidates(case: &TortureCase) -> Vec<TortureCase> {
     out
 }
 
-/// Greedily minimize a failing case: accept the first candidate that
-/// still fails in the same category, until none does. Rounds are
-/// capped lower than the chaos shrinker's — every probe here stands up
-/// a real server.
+/// Greedily minimize a failing case while the same failure category
+/// reproduces (see [`crate::util::shrink`]). Rounds are capped lower
+/// than the chaos shrinker's — every probe here stands up a real server.
 pub fn shrink(case: &TortureCase, kind: TortureFailure) -> (TortureCase, usize) {
-    let mut current = case.clone();
-    let mut steps = 0;
-    for _ in 0..40 {
-        let mut advanced = false;
-        for cand in candidates(&current) {
-            if let TortureOutcome::Fail(k, _) = run_case(&cand) {
-                if k == kind {
-                    current = cand;
-                    steps += 1;
-                    advanced = true;
-                    break;
-                }
-            }
-        }
-        if !advanced {
-            break;
-        }
-    }
-    (current, steps)
+    let fails = |c: &TortureCase| matches!(run_case(c), TortureOutcome::Fail(k, _) if k == kind);
+    crate::util::shrink(case, candidates, fails, 40)
 }
 
 // ---------------------------------------------------------------------
 // JSON repro files
 // ---------------------------------------------------------------------
 
-/// Serialize a case into a flat JSON repro (hand-rolled, like the
-/// chaos repro writer, because the vendored `serde_json` shim cannot
-/// round-trip structures).
+/// Serialize a case into a flat JSON repro inside the
+/// `{"kind": "torture", "version", …}` envelope.
 pub fn case_to_json(case: &TortureCase) -> String {
-    let mut s = String::with_capacity(512);
-    s.push_str("{\n");
-    s.push_str(&format!("  \"version\": {REPRO_VERSION},\n"));
-    s.push_str("  \"kind\": \"torture\",\n");
-    s.push_str(&format!("  \"seed\": {},\n", case.seed));
-    s.push_str(&format!("  \"tenants\": {},\n", case.tenants));
-    s.push_str(&format!("  \"jobs_per_tenant\": {},\n", case.jobs_per_tenant));
-    s.push_str(&format!("  \"short_write_pm\": {},\n", case.short_write_pm));
-    s.push_str(&format!("  \"eintr_pm\": {},\n", case.eintr_pm));
-    s.push_str(&format!("  \"fsync_eio_pm\": {},\n", case.fsync_eio_pm));
-    s.push_str(&format!("  \"enospc_pm\": {},\n", case.enospc_pm));
-    s.push_str(&format!("  \"torn_rename_pm\": {},\n", case.torn_rename_pm));
-    s.push_str(&format!("  \"bitflip_pm\": {},\n", case.bitflip_pm));
-    s.push_str(&format!("  \"disconnect_pm\": {},\n", case.disconnect_pm));
-    s.push_str(&format!("  \"trickle_pm\": {},\n", case.trickle_pm));
-    s.push_str(&format!("  \"lost_ack_pm\": {}\n", case.lost_ack_pm));
-    s.push_str("}\n");
-    s
+    let doc = Json::obj([
+        ("kind", "torture".into()),
+        ("version", REPRO_VERSION.into()),
+        ("seed", case.seed.into()),
+        ("tenants", case.tenants.into()),
+        ("jobs_per_tenant", case.jobs_per_tenant.into()),
+        ("short_write_pm", case.short_write_pm.into()),
+        ("eintr_pm", case.eintr_pm.into()),
+        ("fsync_eio_pm", case.fsync_eio_pm.into()),
+        ("enospc_pm", case.enospc_pm.into()),
+        ("torn_rename_pm", case.torn_rename_pm.into()),
+        ("bitflip_pm", case.bitflip_pm.into()),
+        ("disconnect_pm", case.disconnect_pm.into()),
+        ("trickle_pm", case.trickle_pm.into()),
+        ("lost_ack_pm", case.lost_ack_pm.into()),
+    ]);
+    doc.render(true) + "\n"
 }
 
 /// Parse a repro JSON back into a [`TortureCase`].
@@ -752,14 +733,6 @@ pub fn case_from_json(text: &str) -> Result<TortureCase, String> {
 /// Write a repro file crash-safely (fsync + rename).
 pub fn write_repro(path: &Path, case: &TortureCase) -> std::io::Result<()> {
     write_atomic(path, &case_to_json(case))
-}
-
-/// Load a repro file and replay it.
-pub fn run_repro(path: &Path) -> Result<TortureOutcome, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let case = case_from_json(&text)?;
-    Ok(run_case(&case))
 }
 
 // ---------------------------------------------------------------------

@@ -226,6 +226,26 @@ where
         .collect()
 }
 
+/// Greedily minimize a failing case (the chaos and torture soaks'
+/// shrinker): each round accepts the first of `candidates(current)` that
+/// still `fails_same_way`, until no candidate does or `rounds` rounds
+/// are spent. Returns the minimized case and the accepted step count.
+pub fn shrink<C: Clone>(
+    case: &C,
+    candidates: impl Fn(&C) -> Vec<C>,
+    fails_same_way: impl Fn(&C) -> bool,
+    rounds: usize,
+) -> (C, usize) {
+    let mut current = case.clone();
+    for steps in 0..rounds {
+        match candidates(&current).into_iter().find(&fails_same_way) {
+            Some(next) => current = next,
+            None => return (current, steps),
+        }
+    }
+    (current, rounds)
+}
+
 /// Format a `Dur`-like nanosecond count as milliseconds with 3 digits.
 pub fn ms(d: hq_des::time::Dur) -> String {
     format!("{:.3}", d.as_millis_f64())
@@ -246,6 +266,16 @@ mod tests {
     fn par_map_empty() {
         let out: Vec<u32> = par_map(Vec::<u32>::new(), |&x| x);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn shrink_takes_first_failing_candidate_within_budget() {
+        // "Fails" while n >= 5; candidates halve first, then decrement.
+        let cands = |&n: &u32| vec![n / 2, n.saturating_sub(1)];
+        let fails = |&n: &u32| n >= 5;
+        assert_eq!(shrink(&40, cands, fails, 100), (5, 3)); // 20, 10, 5
+        assert_eq!(shrink(&40, cands, fails, 2), (10, 2));
+        assert_eq!(shrink(&3, cands, fails, 100), (3, 0));
     }
 
     #[test]

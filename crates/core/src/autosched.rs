@@ -17,7 +17,6 @@ use crate::ordering::ScheduleOrder;
 use hq_des::rng::DetRng;
 use hq_gpu::result::SimError;
 use hq_workloads::apps::AppKind;
-use serde::{Deserialize, Serialize};
 
 /// How the search evaluates one candidate schedule. Callers that
 /// memoize deterministic runs (e.g. `hq-bench`'s scenario cache) pass
@@ -39,7 +38,7 @@ pub type BatchRunner = fn(&RunConfig, &[Vec<AppSpec>]) -> Vec<Result<RunOutcome,
 const SPECULATION_CHUNK: usize = 8;
 
 /// What the scheduler optimizes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Objective {
     /// Minimize workload makespan (throughput).
     Makespan,

@@ -1,16 +1,16 @@
 //! Serializable run summaries.
 //!
-//! [`RunSummary`] is the stable JSON schema experiment artifacts use:
+//! [`RunSummary`] is the JSON schema `hyperq run --json` writes:
 //! everything a plotting script or regression checker needs, without
 //! the full trace payload.
 
 use crate::harness::RunOutcome;
+use hq_des::json::Json;
 use hq_gpu::prelude::{AppOutcome, FaultCounters};
 use hq_gpu::types::Dir;
-use serde::{Deserialize, Serialize};
 
 /// Per-application summary row.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AppSummary {
     /// Application label (`gaussian#3`).
     pub label: String,
@@ -33,7 +33,7 @@ pub struct AppSummary {
 }
 
 /// Whole-run summary (the JSON artifact schema).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunSummary {
     /// Launch order used.
     pub schedule: Vec<String>,
@@ -102,14 +102,60 @@ impl From<&RunOutcome> for RunSummary {
 }
 
 impl RunSummary {
-    /// Serialize to pretty JSON.
+    /// Render as a pretty-printed JSON document (the `hyperq run --json`
+    /// artifact): the fields above under their own names, `null` for an
+    /// absent latency, and each app's `outcome` as `{"status": …}` plus
+    /// the failure `reason` or retry `attempts`.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("summary serializes")
-    }
-
-    /// Parse from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+        let f = &self.faults;
+        let faults = Json::obj([
+            ("copy_faults", f.copy_faults.into()),
+            ("kernel_faults", f.kernel_faults.into()),
+            ("watchdog_kills", f.watchdog_kills.into()),
+            ("watchdog_rearms", f.watchdog_rearms.into()),
+            ("ops_errored", f.ops_errored.into()),
+            ("forced_mutex_releases", f.forced_mutex_releases.into()),
+            ("leaked_residency", f.leaked_residency.into()),
+            ("held_mutexes", f.held_mutexes.into()),
+        ]);
+        let apps = self.apps.iter().map(|a| {
+            let outcome = match a.outcome {
+                AppOutcome::Completed => Json::obj([("status", "completed".into())]),
+                AppOutcome::Failed { reason } => Json::obj([
+                    ("status", "failed".into()),
+                    ("reason", reason.to_string().into()),
+                ]),
+                AppOutcome::Retried { attempts } => Json::obj([
+                    ("status", "retried".into()),
+                    ("attempts", attempts.into()),
+                ]),
+            };
+            Json::obj([
+                ("label", a.label.as_str().into()),
+                ("turnaround_ns", a.turnaround_ns.into()),
+                ("le_htod_ns", a.le_htod_ns.into()),
+                ("le_dtoh_ns", a.le_dtoh_ns.into()),
+                ("kernels", a.kernels.into()),
+                ("htod_bytes", a.htod_bytes.into()),
+                ("dtoh_bytes", a.dtoh_bytes.into()),
+                ("outcome", outcome),
+                ("faults", a.faults.into()),
+            ])
+        });
+        let doc = Json::obj([
+            ("schedule", self.schedule.iter().map(String::as_str).collect()),
+            ("makespan_ns", self.makespan_ns.into()),
+            ("energy_j", self.energy_j.into()),
+            ("avg_power_w", self.avg_power_w.into()),
+            ("peak_power_w", self.peak_power_w.into()),
+            ("mean_occupancy", self.mean_occupancy.into()),
+            ("faults", faults),
+            ("retries", self.retries.into()),
+            ("degraded", self.degraded.into()),
+            ("events", self.events.into()),
+            ("apps", apps.collect()),
+        ]);
+        doc.render(true) + "\n"
     }
 }
 
@@ -117,21 +163,40 @@ impl RunSummary {
 mod tests {
     use super::*;
     use crate::harness::{pair_workload, run_workload, RunConfig};
+    use hq_des::json::parse_json;
     use hq_workloads::apps::AppKind;
 
+    /// The `run --json` document, read back from its text with the
+    /// JSON parser, carries the summary's values exactly.
     #[test]
     fn summary_roundtrips_through_json() {
         let kinds = pair_workload(AppKind::Knearest, AppKind::Needle, 2);
         let out = run_workload(&RunConfig::concurrent(2), &kinds).unwrap();
-        let summary = RunSummary::from(&out);
+        let mut summary = RunSummary::from(&out);
         assert_eq!(summary.apps.len(), 2);
         assert!(summary.makespan_ns > 0);
         assert!(summary.energy_j > 0.0);
         assert!(summary.mean_occupancy > 0.0);
         assert!(summary.events > 0);
-        let json = summary.to_json();
-        let back = RunSummary::from_json(&json).unwrap();
-        assert_eq!(summary, back);
+        summary.apps[1].outcome = AppOutcome::Failed {
+            reason: hq_gpu::prelude::FaultKind::KernelFault,
+        };
+        summary.apps[1].le_dtoh_ns = None;
+        let doc = parse_json(&summary.to_json()).unwrap();
+        assert_eq!(doc.num("makespan_ns"), Ok(summary.makespan_ns));
+        assert_eq!(doc.num("events"), Ok(summary.events));
+        let energy = doc.float("energy_j").unwrap();
+        assert_eq!(energy.to_bits(), summary.energy_j.to_bits());
+        let faults = doc.get("faults").unwrap();
+        assert_eq!(faults.num("kernel_faults"), Ok(summary.faults.kernel_faults.into()));
+        let apps = doc.arr("apps").unwrap();
+        for (json, app) in apps.iter().zip(&summary.apps) {
+            assert_eq!(json.str_field("label"), Ok(app.label.as_str()));
+            assert_eq!(json.num("faults"), Ok(app.faults.into()));
+        }
+        let status = |i: usize| apps[i].get("outcome").unwrap().str_field("status");
+        assert_eq!((status(0), status(1)), (Ok("completed"), Ok("failed")));
+        assert_eq!(apps[1].get("le_dtoh_ns"), Some(&Json::Null));
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!   simulation run is exactly reproducible,
 //! * [`stats`] — online statistics, histograms and percentile summaries,
 //! * [`trace`] — span traces with an ASCII Gantt renderer (used to
-//!   regenerate the paper's Visual-Profiler-style timeline figures), and
-//! * [`record`] — time-weighted series recorders (utilization, power).
+//!   regenerate the paper's Visual-Profiler-style timeline figures),
+//! * [`record`] — time-weighted series recorders (utilization, power), and
+//! * [`json`] — a minimal JSON value, writer and parser for run summaries
+//!   and repro files.
 //!
 //! The toolkit deliberately has no opinion about *what* is being
 //! simulated; the GPU device model lives in the `hq-gpu` crate and
@@ -32,6 +34,7 @@
 pub mod analysis;
 pub mod engine;
 pub mod intern;
+pub mod json;
 pub mod observe;
 pub mod record;
 pub mod rng;

@@ -6,7 +6,6 @@
 //! energy (`E = ∫ P dt`, paper §V-D) and time-weighted utilization.
 
 use crate::time::{Dur, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A right-continuous step function sampled at change points.
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// next change. Updates must be in non-decreasing time order; equal
 /// timestamps overwrite (the last write wins), matching how a DES
 /// processes several state changes at one instant.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -146,7 +145,7 @@ impl TimeSeries {
 /// Tracks a busy/idle indicator and reports the busy fraction.
 ///
 /// Used for DMA-engine and SMX utilization accounting.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Utilization {
     series: TimeSeries,
     busy_since: Option<SimTime>,

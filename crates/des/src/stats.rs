@@ -5,10 +5,8 @@
 //! log-bucketed histogram for latency distributions, and exact
 //! percentiles for the (small) per-figure summaries.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable online mean/variance/min/max (Welford's method).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -106,7 +104,7 @@ impl OnlineStats {
 /// Log₂-bucketed histogram for positive values (latency distributions).
 ///
 /// Bucket `i` covers `[2^i, 2^(i+1))`; values below 1 land in bucket 0.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     buckets: Vec<u64>,
     total: u64,

@@ -8,13 +8,12 @@
 //! in CI.
 
 use crate::time::{Dur, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// What kind of operation a span represents (controls the glyph used by
 /// the Gantt renderer, mirroring the paper's dark/light shading).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SpanKind {
     /// Host-to-device DMA transfer (dark boxes in the paper's figures).
     CopyHtoD,
@@ -39,7 +38,7 @@ impl SpanKind {
 }
 
 /// One completed operation on one lane (stream) of the timeline.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Span {
     /// Lane index (CUDA stream id in the GPU model).
     pub lane: u32,
@@ -61,7 +60,7 @@ impl Span {
 }
 
 /// A collection of spans, appendable in any order.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TraceLog {
     spans: Vec<Span>,
     enabled: bool,

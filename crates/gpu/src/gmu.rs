@@ -23,7 +23,6 @@ use crate::kernel::KernelInfo;
 use crate::types::{GridId, OpId, StreamId};
 use hq_des::engine::EventId;
 use hq_des::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Lifecycle of a launched grid.
@@ -84,7 +83,7 @@ impl Grid {
 
 /// Aggregate resource totals used by the conservative-fit admission
 /// policy ("sum total of resource requests", paper §II).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResourceTotals {
     /// Total thread blocks.
     pub blocks: u64,

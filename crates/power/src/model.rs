@@ -12,10 +12,9 @@
 use hq_des::record::TimeSeries;
 use hq_des::time::{Dur, SimTime};
 use hq_gpu::result::SimResult;
-use serde::{Deserialize, Serialize};
 
 /// Board power model parameters (Watts).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PowerModel {
     /// Idle board power with clocks parked.
     pub p_idle: f64,

@@ -12,7 +12,6 @@ use crate::model::PowerModel;
 use hq_des::record::TimeSeries;
 use hq_des::time::{Dur, SimTime};
 use hq_gpu::result::SimResult;
-use serde::{Deserialize, Serialize};
 
 /// Polling power monitor.
 #[derive(Clone, Copy, Debug)]
@@ -69,7 +68,7 @@ impl PowerMonitor {
 }
 
 /// Aggregated power/energy measurement of one run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PowerReport {
     /// `(instant, Watts)` sensor samples.
     pub samples: Vec<(SimTime, f64)>,

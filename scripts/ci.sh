@@ -28,7 +28,8 @@
 #      to a JSON repro under results/ replayable with `hyperq repro`.
 #      The soak runs twice — serial and `--batch 16` through the
 #      K-lane merged-queue executor — and both must be clean,
-#   5. a service crash-recovery smoke: start `hyperq serve`, prove that
+#   5. a service crash-recovery smoke (after a check that `hyperq run
+#      --json` writes a real summary): start `hyperq serve`, prove that
 #      panicking and deadline-exceeded jobs come back as structured
 #      errors while the server keeps serving, then `kill -9` it
 #      mid-burst, restart with `--recover-only`, and require that the
@@ -185,6 +186,10 @@ fresh_bin hyperq-repro hyperq
 HQ=target/release/hyperq
 SVC_DIR="$(mktemp -d)"
 SOCK="$SVC_DIR/hq.sock"
+# `run --json` must write a real run-summary document.
+"$HQ" run -w needle --json "$SVC_DIR/run.json" >/dev/null
+grep -q '"makespan_ns"' "$SVC_DIR/run.json" && ! grep -q __shim_handle "$SVC_DIR/run.json" \
+    || { echo "FAIL: run --json wrote no run summary: $(cat "$SVC_DIR/run.json")"; exit 1; }
 HQ_RESULTS="$SVC_DIR" "$HQ" serve --socket "$SOCK" --workers 1 --queue-depth 16 \
     --dispatch-batch 8 --commit-window-us 200 >"$SVC_DIR/serve.log" 2>&1 &
 SRV_PID=$!

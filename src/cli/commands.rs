@@ -3,6 +3,7 @@
 use crate::cli::args::{Cli, Command, DevicePreset, RecoveryChoice, USAGE};
 use crate::cli::workload_spec::format_workload;
 use hq_bench::service::{JobSpec, ServeOptions};
+use hq_des::json::{parse_json, Json};
 use hq_des::time::Dur;
 use hq_gpu::prelude::*;
 use hq_gpu::types::Dir;
@@ -291,33 +292,42 @@ fn cmd_devices() -> String {
     t.to_text()
 }
 
-/// Replay a chaos-soak repro file (written by the `chaos` soak driver
-/// on failure) with the invariant auditor enabled. Succeeds with a
-/// status line either way — a repro that still fails is the expected,
-/// useful outcome — and only errors when the file itself is unusable.
+/// Replay a chaos or torture repro file (written by the soak drivers
+/// on failure). Succeeds with a status line either way — a repro that
+/// still fails is the expected, useful outcome — and only errors when
+/// the file itself is unusable.
 fn cmd_repro(cli: &Cli) -> Result<String, String> {
+    use hq_bench::{chaos, torture};
     let path = cli.repro_file.as_deref().expect("checked by parse_args");
-    // Torture repros are self-identifying (`"kind": "torture"`); route
-    // them to the torture replayer, everything else to the chaos one.
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if let Ok(case) = hq_bench::torture::case_from_json(&text) {
-        return match hq_bench::torture::run_case(&case) {
-            hq_bench::torture::TortureOutcome::Pass(stats) => Ok(format!(
+    // Repros carry a `{"kind", "version", …}` envelope; a file with no
+    // kind predates it and is a chaos repro.
+    let doc = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    let kind = match doc.get("kind") {
+        None => "chaos",
+        Some(Json::Str(kind)) => kind.as_str(),
+        Some(k) => return Err(format!("{path}: repro kind {} is not a string", k.render(false))),
+    };
+    let bad = |e: String| format!("{path}: bad {kind} repro: {e}");
+    match kind {
+        "chaos" => match chaos::run_case(&chaos::case_from_json(&text).map_err(bad)?) {
+            chaos::CaseOutcome::Pass { .. } => Ok(format!(
+                "repro {path}: PASS — the case runs clean (bug no longer reproduces)"
+            )),
+            chaos::CaseOutcome::Fail(kind, detail) => {
+                Ok(format!("repro {path}: FAIL ({kind:?})\n{detail}"))
+            }
+        },
+        "torture" => match torture::run_case(&torture::case_from_json(&text).map_err(bad)?) {
+            torture::TortureOutcome::Pass(stats) => Ok(format!(
                 "repro {path}: PASS — invariants held ({} acked, {} resolved, {} disk faults, {} net faults)",
                 stats.acked, stats.resolved, stats.io_faults, stats.net_faults
             )),
-            hq_bench::torture::TortureOutcome::Fail(kind, detail) => {
+            torture::TortureOutcome::Fail(kind, detail) => {
                 Ok(format!("repro {path}: FAIL ({kind})\n{detail}"))
             }
-        };
-    }
-    match hq_bench::chaos::run_repro(std::path::Path::new(path))? {
-        hq_bench::chaos::CaseOutcome::Pass { .. } => Ok(format!(
-            "repro {path}: PASS — the case runs clean (bug no longer reproduces)"
-        )),
-        hq_bench::chaos::CaseOutcome::Fail(kind, detail) => Ok(format!(
-            "repro {path}: FAIL ({kind:?})\n{detail}"
-        )),
+        },
+        other => Err(format!("{path}: unknown repro kind '{other}'")),
     }
 }
 
@@ -683,6 +693,32 @@ mod tests {
         assert!(run("help").unwrap().contains("USAGE"));
     }
 
+    /// `run --json FILE` writes a real JSON document whose numbers are
+    /// the run's own.
+    #[test]
+    fn run_json_writes_the_runs_summary() {
+        let path = std::env::temp_dir().join(format!("hq_run_json_{}.json", std::process::id()));
+        let args = format!("run -w nn*2+needle --streams 2 --seed 3 --json {}", path.display());
+        let cli = parse_args(args.split_whitespace().map(String::from).collect()).unwrap();
+        execute(cli.clone()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let doc = parse_json(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        let out = run_workload(&config_from(&cli, false), &cli.workload).unwrap();
+        assert_eq!(doc.num("makespan_ns"), Ok(out.makespan().as_ns()));
+        assert_eq!(doc.arr("apps").unwrap().len(), 3);
+    }
+
+    /// A chaos repro in the format written before the `kind` envelope:
+    /// one app whose kernel hangs with no watchdog armed.
+    const LEGACY_CHAOS_REPRO: &str = r#"{"version": 1, "seed": 7, "num_smx": 13, "hw_queues": 32,
+  "conservative_fit": false, "issue_order": false, "chunk_kb": 0, "stagger_us": 0,
+  "jitter_ns": 0, "watchdog_us": 0,
+  "apps": [{"stream": 0, "htod_kb": 4, "dtoh_kb": 4, "use_mutex": false, "mutex_sync": false,
+            "kernels": [{"blocks": 2, "tpb": 64, "work_us": 5, "smem_kb": 0, "regs": 16}]}],
+  "faults": [{"kind": "kernel-hang", "app": 0, "nth": 0}],
+  "copy_fail_pm": 0, "kernel_fault_pm": 0, "kernel_hang_pm": 0, "fault_seed": 1}"#;
+
     #[test]
     fn repro_replays_a_written_case_and_rejects_garbage() {
         use hq_bench::chaos;
@@ -714,6 +750,23 @@ mod tests {
         std::fs::write(&path, chaos::case_to_json(&bad)).unwrap();
         let out = run(&format!("repro {}", path.display())).unwrap();
         assert!(out.contains("FAIL") && out.contains("Deadlock"), "{out}");
+
+        // A chaos repro written before repros carried a "kind" still
+        // replays (this hang with no watchdog must deadlock).
+        let path = dir.join("legacy.json");
+        std::fs::write(&path, LEGACY_CHAOS_REPRO).unwrap();
+        let out = run(&format!("repro {}", path.display())).unwrap();
+        assert!(out.contains("FAIL (Deadlock)"), "{out}");
+
+        // A torture repro with a bad field is reported as a torture
+        // error, not as a chaos parse failure; an unknown kind is named.
+        let path = dir.join("torture.json");
+        std::fs::write(&path, r#"{"kind": "torture", "version": 1, "seed": 1}"#).unwrap();
+        let err = run(&format!("repro {}", path.display())).unwrap_err();
+        assert!(err.contains("bad torture repro") && err.contains("'tenants'"), "{err}");
+        std::fs::write(&path, r#"{"kind": "nope", "version": 1}"#).unwrap();
+        let err = run(&format!("repro {}", path.display())).unwrap_err();
+        assert!(err.contains("unknown repro kind 'nope'"), "{err}");
 
         // An unusable file is a command error.
         let path = dir.join("garbage.json");
