@@ -88,11 +88,11 @@ fn bench_smx(c: &mut Criterion) {
             || Smx::new(SmxLimits::kepler()),
             |mut smx| {
                 smx.advance(SimTime::ZERO);
-                for t in 0..8u64 {
+                for t in 0..8u32 {
                     smx.place(SimTime::ZERO, t, GridId(0), &desc, 1);
                 }
                 smx.advance(SimTime::from_ns(200_000));
-                for t in 0..8u64 {
+                for t in 0..8u32 {
                     smx.take_completed(t);
                 }
                 smx.resident_blocks()

@@ -4,8 +4,8 @@
 //! greedily shrunk and written as a JSON repro under the results
 //! directory, replayable with `hyperq repro <file>`.
 //!
-//! `--batch K` (default 1 = serial) runs cases K lanes at a time
-//! through the merged-queue batch executor; outcomes are identical to
+//! `--batch K` (default 1 = serial) runs cases K at a time through
+//! the memoized `chaos::run_case_batch`; outcomes are identical to
 //! the serial soak (the first failure by case index wins, and the
 //! shrinker always operates on the single extracted case). Progress
 //! lines report per-case µs and events/s so the serial-vs-batched

@@ -6,7 +6,7 @@
 //! (hundreds of distinct kernel/buffer names with tracing on), the
 //! full experiment suite twice — cold and then warm through the
 //! scenario cache — a chaos-case batch bench (serial uncached vs.
-//! K-lane batched, cold and memo-warm), and a serving-hot-path bench
+//! batched through the per-case memo, cold and memo-warm), and a serving-hot-path bench
 //! (this binary re-executed as a server subprocess on a unix socket,
 //! 8 concurrent clients, warm scenario cache, batched dispatch +
 //! group-commit journaling), then reports events/sec and wall-clock
@@ -555,15 +555,15 @@ fn bench_suite() -> SuiteBench {
     }
 }
 
-/// Chaos-case throughput: the serial soak vs. the K-lane batch
-/// executor, over one fixed deterministic case set, measured three
+/// Chaos-case throughput: the serial soak vs. the batched, memoized
+/// entry point, over one fixed deterministic case set, measured three
 /// ways:
 ///
 /// * `serial` — `run_case` per spec, which always simulates (it is
 ///   the shrinker path and deliberately bypasses the per-case memo):
 ///   the pre-batch cost per soak case;
 /// * `batch cold` — one `run_case_batch` over the whole set against an
-///   empty memo, so every lane simulates inside the merged event loop.
+///   empty memo, so every case simulates, back to back.
 ///   This is the honest event-loop figure, reported as
 ///   `batch_events_per_s`;
 /// * `batch warm` — the same batch again, served entirely from the

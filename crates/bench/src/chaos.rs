@@ -449,14 +449,10 @@ pub fn reset_case_cache() {
     CASE_MISSES.store(0, Ordering::Relaxed);
 }
 
-/// Run many cases as lanes of one merged event loop (see
-/// `hq_gpu::sim::run_batch`), consulting the per-case memo first.
-/// Outcome classification is identical to [`run_case`] per spec, in
-/// order. If anything in the batched pass panics, the whole chunk
-/// falls back to serial [`run_case`] calls — the batch loop cannot
-/// attribute a panic to a lane the way `catch_unwind` around a single
-/// case can, and chaos cases are exactly the workload expected to
-/// probe such corners.
+/// Run many cases, consulting the per-case memo first: memo hits are
+/// answered from it and the cold cases run back to back through
+/// [`run_case`] (each under its own `catch_unwind`), so the outcome of
+/// every spec, in order, is exactly what [`run_case`] classifies.
 pub fn run_case_batch(specs: &[CaseSpec]) -> Vec<CaseOutcome> {
     let cached = case_cache_enabled();
     let mut results: Vec<Option<CaseOutcome>> = specs.iter().map(|_| None).collect();
@@ -483,24 +479,12 @@ pub fn run_case_batch(specs: &[CaseSpec]) -> Vec<CaseOutcome> {
         keys[i] = Some((key, pre));
         cold.push(i);
     }
-    if !cold.is_empty() {
-        let cold_specs: Vec<CaseSpec> = cold.iter().map(|&i| specs[i].clone()).collect();
-        let batched = catch_unwind(AssertUnwindSafe(|| {
-            let sims: Vec<GpuSim> = cold_specs.iter().map(build_sim).collect();
-            hq_gpu::sim::run_batch(sims)
-        }));
-        let outcomes: Vec<CaseOutcome> = match batched {
-            Ok(batch) => batch.results.into_iter().map(classify).collect(),
-            // A panic mid-batch poisons lane attribution: rerun the
-            // cold cases serially, each under its own catch_unwind.
-            Err(_) => cold_specs.iter().map(run_case).collect(),
-        };
-        for (&i, out) in cold.iter().zip(outcomes) {
-            if let Some((key, pre)) = keys[i].take() {
-                case_memo().lock().insert(key, (pre, out.clone()));
-            }
-            results[i] = Some(out);
+    for i in cold {
+        let out = run_case(&specs[i]);
+        if let Some((key, pre)) = keys[i].take() {
+            case_memo().lock().insert(key, (pre, out.clone()));
         }
+        results[i] = Some(out);
     }
     results
         .into_iter()

@@ -217,8 +217,8 @@ pub fn heterogeneity_study(scale: Scale) -> ExperimentReport {
 }
 
 /// [`hyperq_core::autosched::BatchRunner`] backed by the batched
-/// scenario cache: candidate schedules evaluate as lanes of one merged
-/// event loop, warm candidates come straight from the cache.
+/// scenario cache: warm candidates come straight from the cache, cold
+/// ones run back to back.
 fn scenario_batch_runner(
     cfg: &RunConfig,
     lanes: &[Vec<AppSpec>],
@@ -306,11 +306,11 @@ pub fn fault_sweep(scale: Scale) -> ExperimentReport {
     let baseline = run_scenario_workload(&RunConfig::concurrent(na), &kinds)
         .expect("baseline")
         .makespan();
-    // Every (rate, policy) lane runs in one merged-queue batch (see
-    // `run_scenario_batch_jobs`): warm lanes are served from the
-    // scenario cache before batch assembly, so outcomes — and the
-    // artifact bytes derived from them — are identical to the previous
-    // serial `par_map` of `run_scenario_workload` calls.
+    // Every (rate, policy) lane goes through one
+    // `run_scenario_batch_jobs` call: warm lanes are served from the
+    // scenario cache, cold ones run back to back, so outcomes — and the
+    // artifact bytes derived from them — are identical to per-lane
+    // `run_scenario_workload` calls.
     let batch_jobs: Vec<(RunConfig, Vec<AppSpec>)> = jobs
         .iter()
         .map(|&(rate, _, policy)| {

@@ -45,9 +45,7 @@ use hq_gpu::result::{
 use hq_gpu::types::{AppId, StreamId};
 use hq_power::PowerMonitor;
 use hq_workloads::apps::AppKind;
-use hyperq_core::harness::{
-    build_schedule, run_schedule, run_schedule_batch, AppSpec, RunConfig, RunOutcome,
-};
+use hyperq_core::harness::{build_schedule, run_schedule, AppSpec, RunConfig, RunOutcome};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -257,13 +255,11 @@ pub fn scenario_is_warm(cfg: &RunConfig, kinds: &[AppKind]) -> bool {
 }
 
 /// Batched [`run_scenario`]: run `lanes.len()` schedules of one shared
-/// config as lanes of one merged event loop (see
-/// `hq_gpu::sim::run_batch`). Cache integration is per lane: each lane
-/// gets its own [`ScenarioKey`]; warm lanes are served from the
-/// memo/disk cache and skipped *before* batch assembly, cold lanes run
-/// batched and are inserted into both cache layers on completion.
-/// Outputs are element-for-element identical to serial
-/// [`run_scenario`] calls.
+/// config. Cache integration is per lane: each lane gets its own
+/// [`ScenarioKey`]; warm lanes are served from the memo/disk cache
+/// first, then the cold lanes run back to back (DESIGN.md §5h) and are
+/// inserted into both cache layers on completion. Outputs are
+/// element-for-element identical to serial [`run_scenario`] calls.
 pub fn run_scenario_batch(
     cfg: &RunConfig,
     lanes: &[Vec<AppSpec>],
@@ -271,27 +267,6 @@ pub fn run_scenario_batch(
     let jobs: Vec<(RunConfig, Vec<AppSpec>)> =
         lanes.iter().map(|specs| (cfg.clone(), specs.clone())).collect();
     run_scenario_batch_jobs(&jobs)
-}
-
-/// Batched [`run_scenario_workload`]: each job is a `(config, app
-/// kinds)` pair exactly as the serving path sees them. Schedules are
-/// built per job (the same [`build_schedule`] call serial execution
-/// makes) and the batch is routed through
-/// [`run_scenario_batch_jobs`], so outputs stay element-for-element
-/// identical to serial [`run_scenario_workload`] calls — the property
-/// the service's batched dispatch relies on for byte-identical
-/// artifacts.
-pub fn run_scenario_workload_batch(
-    jobs: &[(RunConfig, Vec<AppKind>)],
-) -> Vec<Result<RunOutcome, SimError>> {
-    let lanes: Vec<(RunConfig, Vec<AppSpec>)> = jobs
-        .iter()
-        .map(|(cfg, kinds)| {
-            let specs = build_schedule(kinds, cfg.order, cfg.seed);
-            (cfg.clone(), specs)
-        })
-        .collect();
-    run_scenario_batch_jobs(&lanes)
 }
 
 /// Fully general batched scenario entry: each job carries its own
@@ -339,23 +314,18 @@ pub fn run_scenario_batch_jobs(
         keys[i] = Some((key.0, pre));
         cold.push(i);
     }
-    if !cold.is_empty() {
-        let cold_jobs: Vec<(RunConfig, Vec<AppSpec>)> =
-            cold.iter().map(|&i| jobs[i].clone()).collect();
-        let outs = run_schedule_batch(&cold_jobs);
-        debug_assert_eq!(outs.len(), cold.len());
-        for (&i, out) in cold.iter().zip(outs) {
-            if let (Ok(ok), Some((key, pre))) = (&out, &keys[i]) {
-                if mode == CacheMode::MemoAndDisk && std::fs::create_dir_all(cache_dir()).is_ok() {
-                    let path =
-                        cache_dir().join(format!("{}.v{DISK_VERSION}", ScenarioKey(*key).hex()));
-                    // Best-effort: a failed write just means a future miss.
-                    let _ = write_atomic(&path, &encode(pre, ok));
-                }
-                memo().lock().insert(*key, (pre.clone(), ok.clone()));
+    for i in cold {
+        let (cfg, specs) = &jobs[i];
+        let out = run_schedule(cfg, specs);
+        if let (Ok(ok), Some((key, pre))) = (&out, keys[i].take()) {
+            if mode == CacheMode::MemoAndDisk && std::fs::create_dir_all(cache_dir()).is_ok() {
+                let path = cache_dir().join(format!("{}.v{DISK_VERSION}", ScenarioKey(key).hex()));
+                // Best-effort: a failed write just means a future miss.
+                let _ = write_atomic(&path, &encode(&pre, ok));
             }
-            results[i] = Some(out);
+            memo().lock().insert(key, (pre, ok.clone()));
         }
+        results[i] = Some(out);
     }
     results
         .into_iter()

@@ -30,10 +30,10 @@
 //!   accepting, drains in-flight jobs, seals the journal and removes
 //!   the socket.
 //! * **Batch concurrency** — workers drain up to `--dispatch-batch`
-//!   queued jobs per wakeup (in DRR order) and run them as one K-lane
-//!   batch through the scenario engine, and `--commit-window-us` group
-//!   commit coalesces concurrent accept fsyncs into one `sync_data`
-//!   (DESIGN §5j).
+//!   queued jobs per wakeup (in DRR order), run them back to back
+//!   through the scenario cache and mark them done with one journal
+//!   write, and `--commit-window-us` group commit coalesces concurrent
+//!   accept fsyncs into one `sync_data` (DESIGN §5j).
 //!
 //! Workers are plain [`std::thread`]s over the scenario cache; the
 //! whole service uses only `std` primitives (`Mutex` + `Condvar` —
@@ -55,14 +55,11 @@ pub use protocol::{
 pub use ring::Ring;
 pub use tenancy::{ServiceEstimator, TenantPolicy, TenantQueues};
 
-use crate::scenario::{
-    run_scenario_workload, run_scenario_workload_batch, scenario_is_warm, SIM_VERSION,
-};
+use crate::scenario::{run_scenario_workload, scenario_is_warm, SIM_VERSION};
 use crate::util::codec::{esc, fnv1a};
 use crate::util::write_atomic;
 use hq_gpu::config::DeviceConfig;
 use hq_gpu::result::AppOutcome;
-use hq_workloads::apps::AppKind;
 use hyperq_core::harness::{RunConfig, RunOutcome};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -108,8 +105,9 @@ pub struct ServeOptions {
     /// past which brownout sheds cold work, serving warm scenario-cache
     /// hits only. 0 disables brownout.
     pub brownout_threshold: f64,
-    /// Max queued jobs a worker drains per wakeup and runs as one
-    /// K-lane scenario batch. 1 reproduces solo dispatch exactly.
+    /// Max queued jobs a worker drains per wakeup, runs back to back
+    /// and marks done with one journal write. 1 reproduces solo
+    /// dispatch exactly.
     pub dispatch_batch: usize,
     /// Group-commit window in microseconds: concurrent accept records
     /// staged within one window share a single fsync, with `accepted`
@@ -1096,85 +1094,38 @@ impl Server {
         }
     }
 
-    /// Execute a dispatched batch outside any lock, returning per-lane
-    /// `(job, outcome, exec_ms)` in dispatch order. Jobs that cannot
-    /// share the K-lane engine — scripted panics, already-expired
-    /// deadlines — run outside it; everything else becomes one
-    /// `run_scenario_workload_batch` lane set whose per-lane results
-    /// settle exactly like solo runs (artifacts are byte-identical by
-    /// construction). A panic anywhere in a shared batch poisons lane
-    /// attribution, so the whole batch falls back to per-job serial
-    /// execution under individual catch_unwind — the same divergence
-    /// rule `chaos --batch` uses.
+    /// Execute a dispatched batch outside any lock, one job after
+    /// another, returning per-job `(job, outcome, exec_ms, digest)` in
+    /// dispatch order. Each job is timed on its own, so the deadline
+    /// forecast learns a warm cache hit's cost and a cold run's cost
+    /// apart; a job whose deadline passed while it waited is cancelled
+    /// without running.
     fn execute_batch(
         &self,
         batch: Vec<QueuedJob>,
     ) -> Vec<(QueuedJob, JobDone, Option<f64>, Option<u64>)> {
         let expired = |d: Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
-        let deadline_of = |job: &QueuedJob| {
-            job.spec
-                .deadline_ms
-                .map(|ms| job.accepted_at + Duration::from_millis(ms))
-        };
-        let lanes: Vec<usize> = batch
-            .iter()
-            .enumerate()
-            .filter(|(_, job)| !job.spec.scripted_panic && !expired(deadline_of(job)))
-            .map(|(i, _)| i)
-            .collect();
-        let mut execs: Vec<Option<(Exec, f64)>> = (0..batch.len()).map(|_| None).collect();
-        if lanes.len() >= 2 {
-            let jobs: Vec<(RunConfig, Vec<AppKind>)> = lanes
-                .iter()
-                .map(|&i| (config_for(&batch[i].spec), batch[i].spec.workload.clone()))
-                .collect();
-            let started = Instant::now();
-            let res = catch_unwind(AssertUnwindSafe(|| run_scenario_workload_batch(&jobs)));
-            // Wall time is shared; attribute an even share per lane so
-            // the estimator sees per-job cost, not per-batch cost.
-            let share_ms = started.elapsed().as_secs_f64() * 1000.0 / lanes.len() as f64;
-            if let Ok(results) = res {
-                for (&i, result) in lanes.iter().zip(results) {
-                    let exec = match result {
-                        Ok(out) => Exec::Ok(render_artifact(&batch[i].spec, &out)),
-                        Err(e) => Exec::SimError(e.to_string()),
-                    };
-                    execs[i] = Some((exec, share_ms));
-                }
-            }
-            // On a batch panic every lane stays None and re-runs solo
-            // below.
-        }
         batch
             .into_iter()
-            .enumerate()
-            .map(|(i, job)| {
-                let deadline = deadline_of(&job);
-                let (exec, exec_ms) = match execs[i].take() {
-                    Some((exec, ms)) => (Some(exec), Some(ms)),
-                    // Solo path: scripted panics, single-job batches,
-                    // and the serial fallback after a batch panic.
-                    None if !expired(deadline) => {
-                        let started = Instant::now();
-                        let exec = execute_spec(&job.spec);
-                        (
-                            Some(exec),
-                            Some(started.elapsed().as_secs_f64() * 1000.0),
-                        )
-                    }
-                    // Cancelled before it ever ran.
-                    None => (None, None),
+            .map(|job| {
+                let deadline = job
+                    .spec
+                    .deadline_ms
+                    .map(|ms| job.accepted_at + Duration::from_millis(ms));
+                if expired(deadline) {
+                    return (job, JobDone::DeadlineExceeded, None, None);
+                }
+                let started = Instant::now();
+                let exec = execute_spec(&job.spec);
+                let exec_ms = started.elapsed().as_secs_f64() * 1000.0;
+                let (done, digest) = if expired(deadline) {
+                    // Finished too late: the result is discarded, no
+                    // artifact is written.
+                    (JobDone::DeadlineExceeded, None)
+                } else {
+                    finish(&self.opts, job.id, exec)
                 };
-                let (done, digest) = match exec {
-                    None => (JobDone::DeadlineExceeded, None),
-                    Some(_) if expired(deadline) => {
-                        // Finished too late: the result is discarded,
-                        // no artifact is written.
-                        (JobDone::DeadlineExceeded, None)
-                    }
-                    Some(exec) => finish(&self.opts, job.id, exec),
-                };
-                (job, done, exec_ms, digest)
+                (job, done, Some(exec_ms), digest)
             })
             .collect()
     }
@@ -1661,6 +1612,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hq_workloads::apps::AppKind;
 
     fn at(base: Instant, ms: u64) -> Instant {
         base + Duration::from_millis(ms)
@@ -1732,6 +1684,56 @@ mod tests {
             ..JobSpec::default()
         };
         assert!(run_job_direct(&panicky).is_err());
+    }
+
+    /// Every job of a dispatched batch is timed on its own, so the
+    /// deadline forecast charges a warm cache hit its own small cost
+    /// rather than an even share of a cold run's.
+    #[test]
+    fn batched_jobs_feed_the_forecast_their_own_service_times() {
+        let root = std::env::temp_dir().join(format!("hq_batch_timing_{}", std::process::id()));
+        let mut opts = ServeOptions::new(root.join("hq.sock"));
+        opts.journal = root.join("journal").join("service.wal");
+        opts.artifact_dir = root.join("service");
+        opts.workers = 1;
+        opts.dispatch_batch = 2;
+        opts.commit_window_us = 0;
+        let warm = JobSpec {
+            class: Some("warm".to_string()),
+            ..JobSpec::default()
+        };
+        run_job_direct(&warm).expect("warm-up run fills the cache");
+        // A seed no earlier run can have cached.
+        let fresh = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .expect("clock after the epoch")
+            .as_nanos() as u64;
+        let cold = JobSpec {
+            workload: AppKind::ALL.repeat(2),
+            streams: 8,
+            seed: fresh,
+            class: Some("cold".to_string()),
+            ..JobSpec::default()
+        };
+        let (server, _) = Server::new(opts).expect("server starts");
+        for spec in [warm, cold] {
+            let resp = server.handle(Request::Submit(spec));
+            assert!(matches!(resp, Response::Accepted(_)), "{resp:?}");
+        }
+        server.handle(Request::Shutdown);
+        // Drains both queued jobs in one wakeup, then exits.
+        server.worker_loop();
+        assert_eq!(server.dispatches.load(Ordering::Relaxed), 1, "one batch");
+        assert_eq!(server.dispatched_jobs.load(Ordering::Relaxed), 2);
+        let g = server.lock();
+        let warm_ms = g.estimator.estimate("warm").expect("warm job observed");
+        let cold_ms = g.estimator.estimate("cold").expect("cold job observed");
+        assert!(
+            warm_ms < cold_ms / 4.0,
+            "warm forecast {warm_ms} ms vs cold {cold_ms} ms"
+        );
+        drop(g);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -24,8 +24,8 @@ use hq_workloads::apps::AppKind;
 pub type Runner = fn(&RunConfig, &[AppSpec]) -> Result<RunOutcome, SimError>;
 
 /// Batched counterpart of [`Runner`]: evaluate many candidate
-/// schedules under one config in a single call (lanes of one merged
-/// event loop, or one cache sweep — the scheduler does not care). Must
+/// schedules under one config in a single call (for example one cache
+/// sweep — the scheduler does not care how). Must
 /// return one result per input lane, in order, each identical to what
 /// the serial runner would have produced.
 pub type BatchRunner = fn(&RunConfig, &[Vec<AppSpec>]) -> Vec<Result<RunOutcome, SimError>>;
@@ -156,7 +156,7 @@ impl AutoScheduler {
 
     /// Like [`AutoScheduler::optimize_with`], but candidate evaluations
     /// go through a [`BatchRunner`] so independent candidates share one
-    /// merged event loop. Returns a `SearchResult` identical to the
+    /// runner call. Returns a `SearchResult` identical to the
     /// serial search:
     ///
     /// - The five canonical seed orders are mutually independent — one

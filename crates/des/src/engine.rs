@@ -17,8 +17,22 @@
 //! of the key itself and the pop order is bit-identical to the
 //! reference `(time, seq)` order. Four children per node halve the
 //! tree depth versus a binary heap and keep sift-downs within one or
-//! two cache lines of the `Vec`; sifts move elements with the same
-//! hole technique `std::collections::BinaryHeap` uses.
+//! two cache lines of the `Vec`.
+//!
+//! **Node layout.** A node is `{ at: u64, seq: u64, msg: M }`: two
+//! plain `u64`s (not one `u128`, whose 16-byte alignment would pad
+//! small payloads) followed by the message. The GPU model's 12-byte
+//! event makes a 32-byte node, two per cache line;
+//! [`EventQueue::NODE_BYTES`] exposes the size so callers can pin it
+//! at compile time.
+//!
+//! **Hole sifts.** Both sifts carry the moving element in hand and
+//! treat its slot as a vacant *hole*: each level copies one parent (or
+//! child) into the hole, and the element is written exactly once, at
+//! its final slot. A push sifts up from the vacant slot past the end
+//! of the `Vec`; a pop reads the root out and sifts the former last
+//! element down from the vacant root. Neither writes a node only to
+//! read it straight back.
 //!
 //! Cancellation is tracked in two **bit vectors indexed by `seq`**
 //! instead of a hash set: `cancelled` marks live tombstones and
@@ -120,12 +134,8 @@ impl SeqBits {
     }
 }
 
-/// A scheduled event: `(time, seq)` ordering key plus the message.
-///
-/// Kept as two `u64`s rather than one packed `u128` — the compare is
-/// the same two instructions either way, but `u128` forces 16-byte
-/// alignment and pads a `u64`-payload node from 24 to 32 bytes, which
-/// is pure wasted heap bandwidth.
+/// A scheduled event: `(time, seq)` ordering key plus the message
+/// (see "Node layout" in the module docs).
 struct Scheduled<M> {
     /// Event time in nanoseconds.
     at: u64,
@@ -135,16 +145,6 @@ struct Scheduled<M> {
 }
 
 impl<M> Scheduled<M> {
-    #[inline]
-    fn at(&self) -> SimTime {
-        SimTime::from_ns(self.at)
-    }
-
-    #[inline]
-    fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Total ordering key; lexicographic `(time, seq)`.
     #[inline]
     fn key(&self) -> (u64, u64) {
@@ -155,67 +155,58 @@ impl<M> Scheduled<M> {
 /// Children per heap node.
 const D: usize = 4;
 
-// Both sifts use the hole technique std's BinaryHeap uses: lift the
-// displaced element out once, shift ancestors/children into the hole
-// with single copies, and write the element back exactly once — one
-// move per level instead of a three-move swap. They are free functions
-// (not methods) so `purge_tombstones` can heapify with the same code.
+// Hole sifts (see the module docs). They are free functions so
+// `purge_tombstones` can heapify with the same code.
 //
-// Safety: indices stay within `heap` (checked against `len` before
-// every access), and no user code runs while the hole is open — `u64`
-// tuple comparisons cannot panic — so the duplicate created by
-// `ptr::read` is always resolved by the final `ptr::write`.
+// Safety: the caller passes a heap of `len` initialized nodes in which
+// slot `i` is a vacant hole (its bytes are either uninitialized or a
+// bitwise duplicate the caller has already moved out), with `i <= len`
+// for `sift_up` and `i < len` for `sift_down`. Every index touched is
+// below `len` (or is the hole itself), and no user code runs while the
+// hole is open — integer comparisons cannot panic — so the final
+// write always fills the hole and leaves every slot initialized once.
 
 #[inline]
-fn sift_up<M>(heap: &mut [Scheduled<M>], mut i: usize) {
-    unsafe {
-        let ptr = heap.as_mut_ptr();
-        let elem = std::ptr::read(ptr.add(i));
-        let ekey = elem.key();
-        while i > 0 {
-            let parent = (i - 1) / D;
-            if ekey < (*ptr.add(parent)).key() {
-                std::ptr::copy_nonoverlapping(ptr.add(parent), ptr.add(i), 1);
-                i = parent;
-            } else {
-                break;
-            }
+unsafe fn sift_up<M>(ptr: *mut Scheduled<M>, mut i: usize, elem: Scheduled<M>) {
+    let key = elem.key();
+    while i > 0 {
+        let parent = (i - 1) / D;
+        if key < (*ptr.add(parent)).key() {
+            std::ptr::copy_nonoverlapping(ptr.add(parent), ptr.add(i), 1);
+            i = parent;
+        } else {
+            break;
         }
-        std::ptr::write(ptr.add(i), elem);
     }
+    std::ptr::write(ptr.add(i), elem);
 }
 
 #[inline]
-fn sift_down<M>(heap: &mut [Scheduled<M>], mut i: usize) {
-    let len = heap.len();
-    unsafe {
-        let ptr = heap.as_mut_ptr();
-        let elem = std::ptr::read(ptr.add(i));
-        let ekey = elem.key();
-        loop {
-            let first = i * D + 1;
-            if first >= len {
-                break;
-            }
-            let end = (first + D).min(len);
-            let mut min = first;
-            let mut min_key = (*ptr.add(first)).key();
-            for c in first + 1..end {
-                let k = (*ptr.add(c)).key();
-                if k < min_key {
-                    min = c;
-                    min_key = k;
-                }
-            }
-            if min_key < ekey {
-                std::ptr::copy_nonoverlapping(ptr.add(min), ptr.add(i), 1);
-                i = min;
-            } else {
-                break;
+unsafe fn sift_down<M>(ptr: *mut Scheduled<M>, len: usize, mut i: usize, elem: Scheduled<M>) {
+    let key = elem.key();
+    loop {
+        let first = i * D + 1;
+        if first >= len {
+            break;
+        }
+        let end = (first + D).min(len);
+        let mut min = first;
+        let mut min_key = (*ptr.add(first)).key();
+        for c in first + 1..end {
+            let k = (*ptr.add(c)).key();
+            if k < min_key {
+                min = c;
+                min_key = k;
             }
         }
-        std::ptr::write(ptr.add(i), elem);
+        if min_key < key {
+            std::ptr::copy_nonoverlapping(ptr.add(min), ptr.add(i), 1);
+            i = min;
+        } else {
+            break;
+        }
     }
+    std::ptr::write(ptr.add(i), elem);
 }
 
 /// Deterministic future-event list.
@@ -250,6 +241,10 @@ impl<M> Default for EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
+    /// Bytes per heap node for this message type (see "Node layout" in
+    /// the module docs).
+    pub const NODE_BYTES: usize = std::mem::size_of::<Scheduled<M>>();
+
     /// Create an empty queue with the clock at `t = 0`.
     pub fn new() -> Self {
         EventQueue {
@@ -385,26 +380,31 @@ impl<M> EventQueue<M> {
         self.live_cancelled = 0;
         let len = self.heap.len();
         if len > 1 {
+            let ptr = self.heap.as_mut_ptr();
             for i in (0..=(len - 2) / D).rev() {
-                sift_down(&mut self.heap, i);
+                // SAFETY: `i < len`; the read opens the hole `sift_down`
+                // fills (see the sift safety comment).
+                unsafe { sift_down(ptr, len, i, std::ptr::read(ptr.add(i))) };
             }
         }
     }
 
     /// Pop the next live event, advancing the clock to its timestamp.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, M)> {
         while let Some(ev) = self.heap_pop() {
-            if self.cancelled.get(ev.seq()) {
+            if self.cancelled.get(ev.seq) {
                 // Dropped tombstone; the `cancelled` bit stays set so a
                 // late cancel of this id remains a no-op.
                 self.live_cancelled -= 1;
                 continue;
             }
-            debug_assert!(ev.at() >= self.now, "event heap returned a past event");
-            self.retired.set(ev.seq());
-            self.now = ev.at();
+            let at = SimTime::from_ns(ev.at);
+            debug_assert!(at >= self.now, "event heap returned a past event");
+            self.retired.set(ev.seq);
+            self.now = at;
             self.popped += 1;
-            return Some((ev.at(), ev.msg));
+            return Some((at, ev.msg));
         }
         None
     }
@@ -413,23 +413,14 @@ impl<M> EventQueue<M> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drain cancelled tombstones from the top so peek is accurate.
         while let Some(top) = self.heap.first() {
-            if self.cancelled.get(top.seq()) {
+            if self.cancelled.get(top.seq) {
                 self.heap_pop().expect("peeked element vanished");
                 self.live_cancelled -= 1;
             } else {
-                return Some(top.at());
+                return Some(SimTime::from_ns(top.at));
             }
         }
         None
-    }
-
-    /// Lifetime count of stale cancellations (cancels that targeted an
-    /// already-delivered event). Cheap accessor for wrappers that need
-    /// to attribute a failed [`EventQueue::cancel`] without building a
-    /// full [`QueueStats`].
-    #[inline]
-    pub fn stale_cancel_count(&self) -> u64 {
-        self.stale_cancels
     }
 
     // ------------------------------------------------------------------
@@ -438,164 +429,31 @@ impl<M> EventQueue<M> {
 
     #[inline]
     fn heap_push(&mut self, ev: Scheduled<M>) {
-        self.heap.push(ev);
-        let last = self.heap.len() - 1;
-        sift_up(&mut self.heap, last);
+        let len = self.heap.len();
+        self.heap.reserve(1);
+        // SAFETY: slot `len` is spare capacity, i.e. the vacant hole the
+        // sift starts from; it fills exactly one slot, so `len + 1`
+        // nodes are initialized afterwards.
+        unsafe {
+            sift_up(self.heap.as_mut_ptr(), len, ev);
+            self.heap.set_len(len + 1);
+        }
     }
 
     #[inline]
     fn heap_pop(&mut self) -> Option<Scheduled<M>> {
         let last = self.heap.pop()?;
-        if self.heap.is_empty() {
+        let len = self.heap.len();
+        if len == 0 {
             return Some(last);
         }
-        let ret = std::mem::replace(&mut self.heap[0], last);
-        sift_down(&mut self.heap, 0);
-        Some(ret)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lane-tagged merged queue
-// ---------------------------------------------------------------------
-
-/// Per-lane lifetime counters behind [`LaneQueue::lane_stats`].
-#[derive(Clone, Copy, Debug, Default)]
-struct LaneCounters {
-    scheduled: u64,
-    popped: u64,
-    cancelled: u64,
-    stale_cancels: u64,
-    pending: usize,
-    peak_pending: usize,
-}
-
-/// A K-lane future-event list: one merged heap whose events are tagged
-/// `(lane, time_ns, seq)` and pop in a single global `(time, seq)`
-/// order.
-///
-/// This is the batch executor's spine. K independent simulations
-/// (lanes) schedule into one shared heap; the driver pops the merged
-/// stream and dispatches each event to its owning lane. Because lanes
-/// never read each other's state, the projection of the merged order
-/// onto one lane is exactly that lane's standalone order: within a
-/// lane, schedule calls happen in the same relative order as a solo
-/// run, so the global sequence numbers — though shared across lanes —
-/// increase in the same within-lane order as a private queue's would,
-/// and `(time, seq)` ties inside a lane break FIFO exactly as before.
-/// The clock ([`LaneQueue::now`]) is global, but it always equals the
-/// current event's timestamp while a lane's handler runs, which is the
-/// only moment a lane observes it.
-///
-/// Per-lane counters ([`LaneQueue::lane_stats`], [`LaneQueue::pending`],
-/// [`LaneQueue::popped`]) are exact — with a single lane they are
-/// bit-identical to a plain [`EventQueue`]'s — except for
-/// `peak_tombstone_ratio`, which is a property of the shared heap and
-/// is reported globally (the `SimPerf` docs already class it as a
-/// diagnostic, not a deterministic output).
-pub struct LaneQueue<M> {
-    inner: EventQueue<(u32, M)>,
-    lanes: Vec<LaneCounters>,
-}
-
-impl<M> LaneQueue<M> {
-    /// A merged queue over `lanes` lanes with the clock at `t = 0`.
-    pub fn new(lanes: usize) -> Self {
-        LaneQueue {
-            inner: EventQueue::new(),
-            lanes: vec![LaneCounters::default(); lanes],
-        }
-    }
-
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Global simulation clock (timestamp of the last popped event).
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.inner.now()
-    }
-
-    /// Schedule `msg` on `lane` at absolute time `at`.
-    pub fn schedule_at(&mut self, lane: u32, at: SimTime, msg: M) -> EventId {
-        let id = self.inner.schedule_at(at, (lane, msg));
-        let l = &mut self.lanes[lane as usize];
-        l.scheduled += 1;
-        l.pending += 1;
-        l.peak_pending = l.peak_pending.max(l.pending);
-        id
-    }
-
-    /// Schedule `msg` on `lane` after a delay relative to the clock.
-    pub fn schedule_in(&mut self, lane: u32, delay: Dur, msg: M) -> EventId {
-        self.schedule_at(lane, self.inner.now() + delay, msg)
-    }
-
-    /// Cancel an event previously scheduled by `lane`. Attribution is
-    /// by caller: lanes only ever hold their own [`EventId`]s.
-    pub fn cancel(&mut self, lane: u32, id: EventId) -> bool {
-        let stale_before = self.inner.stale_cancel_count();
-        let ok = self.inner.cancel(id);
-        let l = &mut self.lanes[lane as usize];
-        if ok {
-            l.cancelled += 1;
-            l.pending -= 1;
-        } else if self.inner.stale_cancel_count() > stale_before {
-            l.stale_cancels += 1;
-        }
-        ok
-    }
-
-    /// Pop the next live event in merged `(time, seq)` order.
-    pub fn pop(&mut self) -> Option<(u32, SimTime, M)> {
-        let (t, (lane, msg)) = self.inner.pop()?;
-        let l = &mut self.lanes[lane as usize];
-        l.popped += 1;
-        l.pending -= 1;
-        Some((lane, t, msg))
-    }
-
-    /// Live events still pending for one lane.
-    pub fn pending(&self, lane: u32) -> usize {
-        self.lanes[lane as usize].pending
-    }
-
-    /// Live events still pending across every lane.
-    pub fn total_pending(&self) -> usize {
-        self.inner.pending()
-    }
-
-    /// True when no live events remain on any lane.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Events delivered to one lane so far.
-    #[inline]
-    pub fn popped(&self, lane: u32) -> u64 {
-        self.lanes[lane as usize].popped
-    }
-
-    /// Events delivered across all lanes.
-    #[inline]
-    pub fn total_popped(&self) -> u64 {
-        self.inner.popped()
-    }
-
-    /// Lifetime counters for one lane. Exact per-lane values except
-    /// `peak_tombstone_ratio`, which is the shared heap's global peak
-    /// (identical to the lane's own with a single lane).
-    pub fn lane_stats(&self, lane: u32) -> QueueStats {
-        let l = self.lanes[lane as usize];
-        QueueStats {
-            scheduled: l.scheduled,
-            popped: l.popped,
-            cancelled: l.cancelled,
-            stale_cancels: l.stale_cancels,
-            peak_pending: l.peak_pending,
-            peak_tombstone_ratio: self.inner.stats().peak_tombstone_ratio,
+        // SAFETY: `len >= 1`; reading the root out leaves slot 0 the
+        // hole that the former last node sifts down into.
+        unsafe {
+            let ptr = self.heap.as_mut_ptr();
+            let top = std::ptr::read(ptr);
+            sift_down(ptr, len, 0, last);
+            Some(top)
         }
     }
 }
@@ -791,137 +649,5 @@ mod tests {
         q.schedule_at(SimTime::from_ns(100), ());
         q.pop();
         q.schedule_at(SimTime::from_ns(50), ());
-    }
-
-    // -----------------------------------------------------------------
-    // LaneQueue
-    // -----------------------------------------------------------------
-
-    #[test]
-    fn lane_queue_pops_merged_time_order_with_fifo_ties() {
-        let mut q: LaneQueue<&str> = LaneQueue::new(3);
-        q.schedule_at(2, SimTime::from_ns(5), "l2-a");
-        q.schedule_at(0, SimTime::from_ns(5), "l0-a");
-        q.schedule_at(1, SimTime::from_ns(3), "l1-a");
-        q.schedule_at(0, SimTime::from_ns(9), "l0-b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop())
-            .map(|(lane, t, m)| (lane, t.as_ns(), m))
-            .collect();
-        // Equal times break FIFO on the global sequence: lane 2's event
-        // was scheduled before lane 0's.
-        assert_eq!(
-            order,
-            vec![
-                (1, 3, "l1-a"),
-                (2, 5, "l2-a"),
-                (0, 5, "l0-a"),
-                (0, 9, "l0-b"),
-            ]
-        );
-    }
-
-    /// The defining property of the merged queue: K lanes interleaved
-    /// through one `LaneQueue` deliver each lane's events in exactly the
-    /// order K private `EventQueue`s would, and the per-lane counters
-    /// match the private queues' counters (modulo the documented global
-    /// tombstone ratio).
-    #[test]
-    fn lane_queue_projection_matches_private_queues() {
-        use crate::rng::DetRng;
-        const LANES: usize = 4;
-        let mut rng = DetRng::seed_from_u64(0xBA7C);
-        let mut merged: LaneQueue<u64> = LaneQueue::new(LANES);
-        let mut private: Vec<EventQueue<u64>> = (0..LANES).map(|_| EventQueue::new()).collect();
-        let mut merged_ids: Vec<Vec<EventId>> = vec![Vec::new(); LANES];
-        let mut private_ids: Vec<Vec<EventId>> = vec![Vec::new(); LANES];
-
-        // Random interleaved schedule/cancel traffic, mirrored into the
-        // private queues lane-for-lane in the same relative order.
-        for step in 0..2000u64 {
-            let lane = rng.gen_range(0usize..LANES);
-            if rng.gen_bool(0.25) && !merged_ids[lane].is_empty() {
-                let pick = rng.gen_range(0usize..merged_ids[lane].len());
-                let a = merged.cancel(lane as u32, merged_ids[lane][pick]);
-                let b = private[lane].cancel(private_ids[lane][pick]);
-                assert_eq!(a, b, "cancel outcome diverged at step {step}");
-            } else {
-                let t = SimTime::from_ns(rng.gen_range(0u64..500));
-                // Private clocks lag the merged clock (they only advance
-                // on their own pops in this test), so schedule in
-                // absolute time clamped to the merged clock to keep both
-                // sides in the future.
-                let t = t.max(merged.now());
-                merged_ids[lane].push(merged.schedule_at(lane as u32, t, step));
-                private_ids[lane].push(private[lane].schedule_at(t, step));
-            }
-            if rng.gen_bool(0.3) {
-                if let Some((lane, t, m)) = merged.pop() {
-                    let (pt, pm) = private[lane as usize].pop().expect("private lane has event");
-                    assert_eq!((t, m), (pt, pm), "pop diverged at step {step}");
-                }
-            }
-        }
-        // Drain: every remaining merged event matches its lane's private
-        // queue head.
-        while let Some((lane, t, m)) = merged.pop() {
-            let (pt, pm) = private[lane as usize].pop().expect("private lane has event");
-            assert_eq!((t, m), (pt, pm));
-        }
-        for (lane, pq) in private.iter_mut().enumerate() {
-            assert!(pq.pop().is_none(), "lane {lane} left events behind");
-            let ls = merged.lane_stats(lane as u32);
-            let ps = pq.stats();
-            assert_eq!(ls.scheduled, ps.scheduled, "lane {lane} scheduled");
-            assert_eq!(ls.popped, ps.popped, "lane {lane} popped");
-            assert_eq!(ls.cancelled, ps.cancelled, "lane {lane} cancelled");
-            assert_eq!(ls.stale_cancels, ps.stale_cancels, "lane {lane} stale");
-            assert_eq!(ls.peak_pending, ps.peak_pending, "lane {lane} peak");
-        }
-    }
-
-    #[test]
-    fn single_lane_queue_matches_event_queue_exactly() {
-        let mut lq: LaneQueue<u32> = LaneQueue::new(1);
-        let mut eq: EventQueue<u32> = EventQueue::new();
-        let mut lids = Vec::new();
-        let mut eids = Vec::new();
-        for i in 0..50u32 {
-            let t = SimTime::from_ns(((i as u64) * 37) % 200);
-            lids.push(lq.schedule_at(0, t, i));
-            eids.push(eq.schedule_at(t, i));
-        }
-        for i in (0..50).step_by(7) {
-            assert_eq!(lq.cancel(0, lids[i]), eq.cancel(eids[i]));
-        }
-        loop {
-            match (lq.pop(), eq.pop()) {
-                (Some((0, t1, m1)), Some((t2, m2))) => assert_eq!((t1, m1), (t2, m2)),
-                (None, None) => break,
-                other => panic!("queues diverged: {other:?}"),
-            }
-        }
-        // Stale cancel after delivery attributes to the lane.
-        assert!(!lq.cancel(0, lids[1]));
-        assert!(!eq.cancel(eids[1]));
-        let (ls, es) = (lq.lane_stats(0), eq.stats());
-        assert_eq!(ls, es, "single-lane stats must be bit-identical");
-        assert_eq!(lq.total_popped(), eq.popped());
-    }
-
-    #[test]
-    fn lane_queue_pending_is_per_lane() {
-        let mut q: LaneQueue<()> = LaneQueue::new(2);
-        let a = q.schedule_at(0, SimTime::from_ns(1), ());
-        q.schedule_at(1, SimTime::from_ns(2), ());
-        q.schedule_at(1, SimTime::from_ns(3), ());
-        assert_eq!((q.pending(0), q.pending(1)), (1, 2));
-        assert_eq!(q.total_pending(), 3);
-        q.cancel(0, a);
-        assert_eq!((q.pending(0), q.pending(1)), (0, 2));
-        assert!(!q.is_empty());
-        q.pop();
-        q.pop();
-        assert!(q.is_empty());
-        assert_eq!(q.lane_count(), 2);
     }
 }

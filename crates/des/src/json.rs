@@ -1,8 +1,8 @@
 //! Minimal JSON: one value type, one writer, one parser.
 //!
 //! Every JSON document the workspace reads or writes goes through
-//! [`Json`]: the `hyperq run --json` run summary and the chaos and
-//! torture repro files. [`Json::render`] writes compact or two-space
+//! [`Json`]: the `hyperq run --json` run summary, the Chrome trace
+//! export and the chaos and torture repro files. [`Json::render`] writes compact or two-space
 //! pretty text; [`parse_json`] is total: malformed input (truncated,
 //! corrupt, hostile nesting) yields `Err`, never a panic.
 

@@ -7,6 +7,7 @@
 //! it as text so the figures can be regenerated in a terminal or diffed
 //! in CI.
 
+use crate::json::Json;
 use crate::time::{Dur, SimTime};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -207,29 +208,24 @@ impl TraceLog {
     /// renders as its own row — the closest interactive equivalent to
     /// the paper's Visual Profiler timelines.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        let events = self.spans.iter().map(|s| {
             let cat = match s.kind {
                 SpanKind::CopyHtoD => "memcpy_htod",
                 SpanKind::CopyDtoH => "memcpy_dtoh",
                 SpanKind::Kernel => "kernel",
                 SpanKind::Host => "host",
             };
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{}}}",
-                s.label.replace('"', "'"),
-                cat,
-                s.start.as_ns() as f64 / 1e3,
-                s.dur().as_ns() as f64 / 1e3,
-                s.lane
-            );
-        }
-        out.push(']');
-        out
+            Json::obj([
+                ("name", s.label.as_str().into()),
+                ("cat", cat.into()),
+                ("ph", "X".into()),
+                ("ts", (s.start.as_ns() as f64 / 1e3).into()),
+                ("dur", (s.dur().as_ns() as f64 / 1e3).into()),
+                ("pid", 0u32.into()),
+                ("tid", s.lane.into()),
+            ])
+        });
+        Json::Arr(events.collect()).render(false)
     }
 }
 
@@ -329,6 +325,23 @@ mod chrome_tests {
         assert!(json.contains("\"ts\":1"), "microsecond timestamps");
         assert!(json.contains("\"dur\":2.5"));
         assert!(!json.contains("Fan\"2\""), "quotes escaped");
+    }
+
+    /// Labels are arbitrary strings: quotes, backslashes and control
+    /// characters must all survive a round trip through a JSON parser.
+    #[test]
+    fn chrome_json_round_trips_hostile_labels() {
+        let label = "C:\\tmp \"quoted\"\nnext\tline \u{1}";
+        let mut log = TraceLog::enabled();
+        log.record(0, SpanKind::Host, label, SimTime::ZERO, SimTime::from_ns(10));
+        let parsed = crate::json::parse_json(&log.to_chrome_json()).expect("valid JSON");
+        let Json::Arr(events) = parsed else {
+            panic!("top level must be an array");
+        };
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].str_field("name"), Ok(label));
+        assert_eq!(events[0].str_field("cat"), Ok("host"));
+        assert_eq!(events[0].float("dur"), Ok(0.01));
     }
 
     #[test]

@@ -171,80 +171,139 @@ proptest! {
     }
 
     /// The 4-ary-heap queue pops in the exact order of a reference
-    /// binary-heap model under arbitrary schedule/cancel/pop
-    /// interleavings, and agrees on `pending()` throughout. The model
-    /// keys a `BinaryHeap` by `Reverse((time, seq))` and only honours
-    /// cancellations of still-pending events — the semantics the
-    /// production queue guarantees.
+    /// binary-heap model under arbitrary interleavings of schedule,
+    /// cancel, pop, pop-then-schedule (the simulator's common step),
+    /// `peek_time` and cancel bursts that cross the ⅓ purge trigger,
+    /// and agrees with the model on `pending()` throughout and on every
+    /// `QueueStats` field at the end. The model keys a `BinaryHeap` by
+    /// `Reverse((time, seq))`, keeps cancelled entries in it as
+    /// tombstones until they surface or a purge drops them, and only
+    /// honours cancellations of still-pending events — the semantics
+    /// the production queue guarantees.
     #[test]
     fn event_queue_matches_reference_model(
-        ops in proptest::collection::vec((0u8..4, 0u64..500, any::<usize>()), 1..300),
+        ops in proptest::collection::vec((0u8..7, 0u64..500, any::<usize>()), 1..400),
     ) {
         use std::cmp::Reverse;
         use std::collections::{BinaryHeap, HashSet};
 
+        /// Reference queue: every field the production queue reports.
+        #[derive(Default)]
+        struct Model {
+            heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+            tombstones: HashSet<u64>, // cancelled, still in `heap`
+            cancelled: HashSet<u64>,  // every successful cancel
+            delivered: HashSet<u64>,
+            now: u64,
+            stats: QueueStats,
+        }
+        impl Model {
+            fn pending(&self) -> usize {
+                self.heap.len() - self.tombstones.len()
+            }
+            fn schedule(&mut self, at: u64, msg: usize) -> u64 {
+                let seq = self.stats.scheduled;
+                self.stats.scheduled += 1;
+                self.heap.push(Reverse((at, seq, msg)));
+                self.stats.peak_pending = self.stats.peak_pending.max(self.pending());
+                seq
+            }
+            fn cancel(&mut self, seq: u64) -> bool {
+                if self.cancelled.contains(&seq) {
+                    return false;
+                }
+                if self.delivered.contains(&seq) {
+                    self.stats.stale_cancels += 1;
+                    return false;
+                }
+                self.cancelled.insert(seq);
+                self.tombstones.insert(seq);
+                self.stats.cancelled += 1;
+                if self.tombstones.len() * 3 > self.heap.len() {
+                    let dead = std::mem::take(&mut self.tombstones);
+                    self.heap.retain(|Reverse((_, s, _))| !dead.contains(s));
+                }
+                if !self.heap.is_empty() {
+                    let ratio = self.tombstones.len() as f64 / self.heap.len() as f64;
+                    if ratio > self.stats.peak_tombstone_ratio {
+                        self.stats.peak_tombstone_ratio = ratio;
+                    }
+                }
+                true
+            }
+            /// Drop surfaced tombstones; the next live `(time, seq, msg)`.
+            fn top(&mut self) -> Option<(u64, u64, usize)> {
+                while let Some(&Reverse(top)) = self.heap.peek() {
+                    if !self.tombstones.remove(&top.1) {
+                        return Some(top);
+                    }
+                    self.heap.pop();
+                }
+                None
+            }
+            fn pop(&mut self) -> Option<(u64, usize)> {
+                let (t, seq, m) = self.top()?;
+                self.heap.pop();
+                self.delivered.insert(seq);
+                self.now = t;
+                self.stats.popped += 1;
+                Some((t, m))
+            }
+        }
+
         let mut q = EventQueue::new();
-        // Reference: max-heap inverted to a min-heap over (time, seq).
-        let mut model: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-        let mut model_cancelled: HashSet<u64> = HashSet::new();
-        let mut model_dead: HashSet<u64> = HashSet::new(); // delivered or cancelled
-        let mut next_seq = 0u64;
+        let mut model = Model::default();
         let mut ids: Vec<(EventId, u64)> = Vec::new(); // (queue id, model seq)
         let mut payload = 0usize;
+        let mut schedule = |q: &mut EventQueue<usize>, model: &mut Model, dt: u64| {
+            let id = q.schedule_at(q.now() + Dur::from_ns(dt), payload);
+            let seq = model.schedule(model.now + dt, payload);
+            payload += 1;
+            (id, seq)
+        };
 
         for (op, dt, pick) in ops {
             match op {
                 // Schedule (twice as likely as the other ops).
-                0 | 1 => {
-                    let at = q.now() + Dur::from_ns(dt);
-                    let id = q.schedule_at(at, payload);
-                    model.push(Reverse((at.as_ns(), next_seq, payload)));
-                    ids.push((id, next_seq));
-                    next_seq += 1;
-                    payload += 1;
-                }
+                0 | 1 => ids.push(schedule(&mut q, &mut model, dt)),
                 // Cancel an arbitrary previously issued id (possibly
                 // already delivered or already cancelled).
                 2 if !ids.is_empty() => {
                     let (id, seq) = ids[pick % ids.len()];
-                    let expect = !model_dead.contains(&seq);
-                    if expect {
-                        model_cancelled.insert(seq);
-                        model_dead.insert(seq);
+                    prop_assert_eq!(q.cancel(id), model.cancel(seq), "cancel of seq {}", seq);
+                }
+                // Pop, then schedule from the popped event's handler.
+                3 => {
+                    let got = q.pop().map(|(t, m)| (t.as_ns(), m));
+                    prop_assert_eq!(got, model.pop());
+                    ids.push(schedule(&mut q, &mut model, dt));
+                }
+                // Peek at the next live event's time.
+                4 => {
+                    let got = q.peek_time().map(|t| t.as_ns());
+                    prop_assert_eq!(got, model.top().map(|(t, _, _)| t));
+                }
+                // Cancel burst: the newest ids, enough to trip a purge.
+                5 => {
+                    for &(id, seq) in ids.iter().rev().take(1 + pick % 8) {
+                        prop_assert_eq!(q.cancel(id), model.cancel(seq), "burst cancel of seq {}", seq);
                     }
-                    prop_assert_eq!(q.cancel(id), expect, "cancel of seq {}", seq);
                 }
                 // Pop.
                 _ => {
-                    let expect = loop {
-                        match model.pop() {
-                            Some(Reverse((t, seq, m))) => {
-                                if model_cancelled.remove(&seq) {
-                                    continue;
-                                }
-                                model_dead.insert(seq);
-                                break Some((t, m));
-                            }
-                            None => break None,
-                        }
-                    };
                     let got = q.pop().map(|(t, m)| (t.as_ns(), m));
-                    prop_assert_eq!(got, expect);
+                    prop_assert_eq!(got, model.pop());
                 }
             }
-            prop_assert_eq!(q.pending(), model.len() - model_cancelled.len(), "pending diverged");
+            prop_assert_eq!(q.pending(), model.pending(), "pending diverged");
         }
-        // Drain both and compare the tail order.
+        // Drain both and compare the tail order, then every counter.
         let tail: Vec<(u64, usize)> =
             std::iter::from_fn(|| q.pop()).map(|(t, m)| (t.as_ns(), m)).collect();
-        let mut model_tail = Vec::new();
-        while let Some(Reverse((t, seq, m))) = model.pop() {
-            if model_cancelled.remove(&seq) {
-                continue;
-            }
-            model_tail.push((t, m));
-        }
+        let model_tail: Vec<(u64, usize)> = std::iter::from_fn(|| model.pop()).collect();
         prop_assert_eq!(tail, model_tail);
+        prop_assert_eq!(q.stats(), model.stats);
+        prop_assert!(q.stats().tombstone_ratio() <= 1.0 / 3.0);
     }
 
     /// Duration scaling by a factor then its inverse round-trips within

@@ -76,7 +76,7 @@ struct ShadowSmx {
 /// One live dispatched group in the shadow model.
 #[derive(Clone, Copy, Debug)]
 struct ShadowGroup {
-    token: u64,
+    token: u32,
     smx: usize,
     grid: GridId,
     blocks: u32,
@@ -266,7 +266,7 @@ impl Auditor {
         &mut self,
         now: SimTime,
         si: usize,
-        token: u64,
+        token: u32,
         gid: GridId,
         desc: &KernelInfo,
         n: u32,
@@ -326,16 +326,16 @@ impl Auditor {
     }
 
     /// Group `token` on SMX `si` ran to completion.
-    pub fn on_group_complete(&mut self, now: SimTime, si: usize, token: u64) {
+    pub fn on_group_complete(&mut self, now: SimTime, si: usize, token: u32) {
         self.retire_group(now, si, token, false);
     }
 
     /// Group `token` on SMX `si` was evicted by a grid kill.
-    pub fn on_group_evicted(&mut self, now: SimTime, si: usize, token: u64) {
+    pub fn on_group_evicted(&mut self, now: SimTime, si: usize, token: u32) {
         self.retire_group(now, si, token, true);
     }
 
-    fn retire_group(&mut self, now: SimTime, si: usize, token: u64, evicted: bool) {
+    fn retire_group(&mut self, now: SimTime, si: usize, token: u32, evicted: bool) {
         let Some(s) = self.state() else { return };
         let verb = if evicted { "evict" } else { "complete" };
         let Some(idx) = s.groups.iter().position(|g| g.token == token && g.smx == si) else {

@@ -287,7 +287,9 @@ pub struct SimPerf {
     pub cancelled: u64,
     /// Cancellations that targeted already-delivered events (no-ops).
     pub stale_cancels: u64,
-    /// Fraction of scheduled events that were cancelled.
+    /// Peak fraction of the future-event list occupied by cancelled
+    /// events ([`hq_des::engine::QueueStats::tombstone_ratio`]); the
+    /// queue's purge keeps it at or below ⅓.
     pub tombstone_ratio: f64,
 }
 

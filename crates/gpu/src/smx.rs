@@ -26,15 +26,13 @@ use hq_des::time::{Dur, SimTime};
 #[derive(Debug)]
 pub struct Group {
     /// Unique token identifying this group's completion event.
-    pub token: u64,
+    pub token: u32,
     /// Grid the blocks belong to.
     pub grid: GridId,
     /// Number of blocks in the group.
     pub blocks: u32,
     /// Warps contributed per block.
     pub warps_per_block: u32,
-    /// When the group was placed.
-    pub started: SimTime,
     /// Pending completion event, owned by the simulator loop.
     pub ev: Option<EventId>,
     /// Remaining per-warp work, in nanoseconds at full issue rate.
@@ -73,6 +71,9 @@ pub struct Smx {
     regs: u64,
     smem: u64,
     warps: u32,
+    /// Current per-warp progress rate; a pure function of `warps`,
+    /// recomputed only when residency changes (`place`/`release`).
+    rate: f64,
     /// Rate in effect when completion events were last (re)issued; when
     /// unchanged, outstanding events are still exact and need not be
     /// re-issued (a major event-churn saving for sub-capacity SMXs).
@@ -91,6 +92,7 @@ impl Smx {
             regs: 0,
             smem: 0,
             warps: 0,
+            rate: 1.0,
             sched_rate: 1.0,
         }
     }
@@ -116,12 +118,17 @@ impl Smx {
     }
 
     /// Current per-warp progress rate in `(0, 1]`.
+    #[inline]
     pub fn rate(&self) -> f64 {
-        if self.warps <= self.limits.issue_warps {
+        self.rate
+    }
+
+    fn update_rate(&mut self) {
+        self.rate = if self.warps <= self.limits.issue_warps {
             1.0
         } else {
             self.limits.issue_warps as f64 / self.warps as f64
-        }
+        };
     }
 
     /// Advance the processor-sharing clock to `now`, draining remaining
@@ -130,7 +137,7 @@ impl Smx {
         debug_assert!(now >= self.last_update, "SMX clock moved backwards");
         let dt = (now - self.last_update).as_ns() as f64;
         if dt > 0.0 && !self.groups.is_empty() {
-            let r = self.rate();
+            let r = self.rate;
             for g in &mut self.groups {
                 g.remaining = (g.remaining - dt * r).max(0.0);
             }
@@ -142,18 +149,18 @@ impl Smx {
     pub fn max_fit(&self, desc: &KernelInfo) -> u32 {
         let by_blocks = self.limits.max_blocks - self.blocks;
         let tpb = desc.threads_per_block();
-        if tpb == 0 || tpb > self.limits.max_threads {
+        let free_threads = self.limits.max_threads - self.threads;
+        let free_regs = (self.limits.max_regs as u64).saturating_sub(self.regs);
+        let free_smem = (self.limits.max_smem as u64).saturating_sub(self.smem);
+        let (rpb, spb) = (desc.regs_per_block() as u64, desc.smem_per_block as u64);
+        // A full SMX is the common case on a loaded device: answer it
+        // from comparisons alone, before any division.
+        if by_blocks == 0 || tpb == 0 || free_threads < tpb || free_regs < rpb || free_smem < spb {
             return 0;
         }
-        let by_threads = (self.limits.max_threads - self.threads) / tpb;
-        let by_regs = (self.limits.max_regs as u64)
-            .saturating_sub(self.regs)
-            .checked_div(desc.regs_per_block() as u64)
-            .map_or(u32::MAX, |v| v as u32);
-        let by_smem = (self.limits.max_smem as u64)
-            .saturating_sub(self.smem)
-            .checked_div(desc.smem_per_block as u64)
-            .map_or(u32::MAX, |v| v as u32);
+        let by_threads = free_threads / tpb;
+        let by_regs = free_regs.checked_div(rpb).map_or(u32::MAX, |v| v as u32);
+        let by_smem = free_smem.checked_div(spb).map_or(u32::MAX, |v| v as u32);
         by_blocks.min(by_threads).min(by_regs).min(by_smem)
     }
 
@@ -165,7 +172,7 @@ impl Smx {
     pub fn place(
         &mut self,
         now: SimTime,
-        token: u64,
+        token: u32,
         grid: GridId,
         desc: &KernelInfo,
         n: u32,
@@ -178,12 +185,12 @@ impl Smx {
         self.regs += n as u64 * desc.regs_per_block() as u64;
         self.smem += n as u64 * desc.smem_per_block as u64;
         self.warps += n * desc.warps_per_block();
+        self.update_rate();
         self.groups.push(Group {
             token,
             grid,
             blocks: n,
             warps_per_block: desc.warps_per_block(),
-            started: now,
             ev: None,
             remaining: desc.work_per_block.as_ns() as f64,
             res_threads: n * desc.threads_per_block(),
@@ -197,7 +204,7 @@ impl Smx {
     /// must have advanced the clock to the completion instant; the
     /// group's remaining work must have drained (asserted within a
     /// 1 ns rounding tolerance).
-    pub fn take_completed(&mut self, token: u64) -> Option<Group> {
+    pub fn take_completed(&mut self, token: u32) -> Option<Group> {
         let idx = self.groups.iter().position(|g| g.token == token)?;
         let g = self.groups.swap_remove(idx);
         debug_assert!(
@@ -210,7 +217,7 @@ impl Smx {
     }
 
     /// Remove a group regardless of progress (simulation teardown).
-    pub fn evict(&mut self, token: u64) -> Option<Group> {
+    pub fn evict(&mut self, token: u32) -> Option<Group> {
         let idx = self.groups.iter().position(|g| g.token == token)?;
         let g = self.groups.swap_remove(idx);
         self.release(&g);
@@ -223,13 +230,14 @@ impl Smx {
         self.threads -= g.res_threads;
         self.regs -= g.res_regs;
         self.smem -= g.res_smem;
+        self.update_rate();
     }
 
     /// Time remaining until the given group completes at the current
     /// rate, rounded up to whole nanoseconds.
-    pub fn eta(&self, token: u64) -> Option<Dur> {
+    pub fn eta(&self, token: u32) -> Option<Dur> {
         let g = self.groups.iter().find(|g| g.token == token)?;
-        Some(Dur::from_ns((g.remaining / self.rate()).ceil() as u64))
+        Some(Dur::from_ns((g.remaining / self.rate).ceil() as u64))
     }
 
     /// Iterate over resident groups mutably (the simulator loop uses

@@ -29,15 +29,15 @@ proptest! {
         let kernels: Vec<KernelInfo> = kernels.iter().map(|k| k.compile(&mut table)).collect();
         let mut smx = Smx::new(limits);
         smx.advance(SimTime::ZERO);
-        let mut placed: Vec<u64> = Vec::new();
+        let mut placed: Vec<u32> = Vec::new();
         for (i, k) in kernels.iter().enumerate() {
             let fit = smx.max_fit(k);
             if fit == 0 {
                 continue;
             }
             let n = fit.min(k.blocks());
-            smx.place(SimTime::ZERO, i as u64, GridId(i as u32), k, n);
-            placed.push(i as u64);
+            smx.place(SimTime::ZERO, i as u32, GridId(i as u32), k, n);
+            placed.push(i as u32);
             prop_assert!(smx.resident_blocks() <= limits.max_blocks);
             prop_assert!(smx.resident_threads() <= limits.max_threads);
         }

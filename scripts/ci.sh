@@ -27,7 +27,13 @@
 #      invariant-auditor and validate() violations; a failure shrinks
 #      to a JSON repro under results/ replayable with `hyperq repro`.
 #      The soak runs twice — serial and `--batch 16` through the
-#      K-lane merged-queue executor — and both must be clean,
+#      memoized batch entry point — and both must be clean,
+#   4b. the repository benchmark's own output checks (BENCHMARK.json's
+#      command, short runs, timing printed but never gated): a traced
+#      `sweep` must match its stored digest, agree batch == serial ==
+#      direct and count the expected cache hits and misses, and a
+#      `serve-burst` must serve artifacts identical to `run_job_direct`
+#      and seal every journal; either run exiting non-zero fails CI,
 #   5. a service crash-recovery smoke (after a check that `hyperq run
 #      --json` writes a real summary): start `hyperq serve`, prove that
 #      panicking and deadline-exceeded jobs come back as structured
@@ -180,6 +186,17 @@ echo "==> chaos soak (200 cases, seed 7, serial then batch 16)"
 fresh_bin hq-bench chaos
 target/release/chaos --cases 200 --seed 7
 target/release/chaos --cases 200 --seed 7 --batch 16
+
+echo "==> benchmark output checks (perfbench sweep + serve-burst, timing not gated)"
+for args in "--workload sweep --seed 3 --seconds 2 --trace 1" \
+    "--workload serve-burst --seed 3 --seconds 3 --trace 0"; do
+    # shellcheck disable=SC2086 # word-split the flag list on purpose
+    PB_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- $args 2>&1)" \
+        || { echo "$PB_OUT"; echo "FAIL: perfbench $args failed its output checks"; exit 1; }
+    grep -q '"correct": true' <<<"$(tail -n 1 <<<"$PB_OUT")" \
+        || { echo "$PB_OUT"; echo "FAIL: perfbench $args did not report correct"; exit 1; }
+    echo "perfbench $args: correct"
+done
 
 echo "==> service crash-recovery smoke"
 fresh_bin hyperq-repro hyperq
