@@ -19,11 +19,12 @@
 //!   so "zero accepted jobs lost" is machine-checked.
 //!
 //! `--json FILE` saves the measurements (flat JSON); `--check FILE`
-//! gates the current run against a saved baseline: failures must be
+//! gates the current run against a saved baseline (any JSON document
+//! with a `jobs_per_sec_per_core` key at any depth): failures must be
 //! zero and jobs/s-per-core must stay within 20% of the recording.
 
 use hq_bench::service::{run_job_direct, Client, JobDone, JobSpec, Reject, Request, Response};
-use hq_bench::util::codec::json_f64;
+use hq_des::json::{parse_json, Json};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -351,8 +352,8 @@ fn main() {
         .unwrap_or(1) as f64;
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let jobs_per_sec = latencies.len() as f64 / wall.max(1e-9);
-    // One status call after the burst surfaces the server's batching
-    // and group-commit counters alongside the client-side figures.
+    // One status call after the burst surfaces the server's
+    // group-commit counters alongside the client-side figures.
     let status = connect(&o)
         .and_then(|mut c| c.call(&Request::Status))
         .ok()
@@ -361,35 +362,33 @@ fn main() {
             _ => None,
         })
         .unwrap_or_default();
-    let batch_occupancy = if status.dispatches > 0 {
-        status.dispatched_jobs as f64 / status.dispatches as f64
-    } else {
-        0.0
-    };
     let fsyncs_per_accept = if status.accepts > 0 {
         status.fsyncs as f64 / status.accepts as f64
     } else {
         0.0
     };
-    let report = format!(
-        "{{\n  \"jobs\": {},\n  \"completed\": {},\n  \"failures\": {failures},\n  \
-         \"retries\": {retries},\n  \"shed\": {shed},\n  \"wall_secs\": {wall:.3},\n  \
-         \"jobs_per_sec\": {jobs_per_sec:.3},\n  \"jobs_per_sec_per_core\": {:.3},\n  \
-         \"p50_ms\": {:.3},\n  \"p99_ms\": {:.3},\n  \
-         \"batch_occupancy\": {batch_occupancy:.3},\n  \
-         \"fsyncs_per_accept\": {fsyncs_per_accept:.3},\n  \
-         \"window_flushes\": {},\n  \"solo_flushes\": {},\n  \
-         \"cache_corrupt\": {},\n  \"dedup_hits\": {}\n}}\n",
-        o.jobs,
-        latencies.len(),
-        jobs_per_sec / cores,
-        percentile(&latencies, 50.0),
-        percentile(&latencies, 99.0),
-        status.window_flushes,
-        status.solo_flushes,
-        status.cache_corrupt,
-        status.dedup_hits,
-    );
+    let report = Json::obj([
+        ("jobs", (o.jobs as u64).into()),
+        ("completed", (latencies.len() as u64).into()),
+        ("failures", failures.into()),
+        ("retries", retries.into()),
+        ("shed", shed.into()),
+        ("wall_secs", Json::rounded(wall, 3)),
+        ("jobs_per_sec", Json::rounded(jobs_per_sec, 3)),
+        (
+            "jobs_per_sec_per_core",
+            Json::rounded(jobs_per_sec / cores, 3),
+        ),
+        ("p50_ms", Json::rounded(percentile(&latencies, 50.0), 3)),
+        ("p99_ms", Json::rounded(percentile(&latencies, 99.0), 3)),
+        ("fsyncs_per_accept", Json::rounded(fsyncs_per_accept, 3)),
+        ("window_flushes", status.window_flushes.into()),
+        ("solo_flushes", status.solo_flushes.into()),
+        ("cache_corrupt", status.cache_corrupt.into()),
+        ("dedup_hits", status.dedup_hits.into()),
+    ])
+    .render(true)
+        + "\n";
     print!("{report}");
     if let Some(path) = &o.json {
         if let Err(e) = std::fs::write(path, &report) {
@@ -402,14 +401,18 @@ fn main() {
         std::process::exit(1);
     }
     if let Some(path) = &o.check {
-        let saved = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("loadgen: read baseline {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        let want = json_f64(&saved, "jobs_per_sec_per_core").unwrap_or(0.0);
+        let at = path.display();
+        let want = std::fs::read_to_string(path)
+            .map_err(|e| format!("read baseline {at}: {e}"))
+            .and_then(|text| {
+                let doc = parse_json(&text).map_err(|e| format!("baseline {at}: {e}"))?;
+                let want = doc.find("jobs_per_sec_per_core").and_then(Json::as_f64);
+                want.ok_or_else(|| format!("baseline {at} lacks jobs_per_sec_per_core"))
+            })
+            .unwrap_or_else(|e| {
+                eprintln!("loadgen: {e}");
+                std::process::exit(1)
+            });
         let got = jobs_per_sec / cores;
         if got < want * 0.8 {
             eprintln!(

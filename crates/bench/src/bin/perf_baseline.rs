@@ -8,8 +8,8 @@
 //! scenario cache — a chaos-case batch bench (serial uncached vs.
 //! batched through the per-case memo, cold and memo-warm), and a serving-hot-path bench
 //! (this binary re-executed as a server subprocess on a unix socket,
-//! 8 concurrent clients, warm scenario cache, batched dispatch +
-//! group-commit journaling), then reports events/sec and wall-clock
+//! 8 concurrent clients, warm scenario cache, one job per worker
+//! wakeup + group-commit journaling), then reports events/sec and wall-clock
 //! numbers.
 //!
 //! Modes:
@@ -39,9 +39,9 @@
 //! portable signal of the hot-path overhaul and the scenario cache.
 
 use hq_bench::service::{Client, JobSpec, Request, Response, ServeOptions, StatusReport};
-use hq_bench::util::codec::json_f64;
 use hq_bench::util::Scale;
 use hq_bench::{chaos, scenario, suite};
+use hq_des::json::{parse_json, Json};
 use hq_des::prelude::*;
 use hq_des::time::{Dur, SimTime};
 use hq_gpu::config::{DeviceConfig, HostConfig};
@@ -336,7 +336,6 @@ struct ServeBench {
     serve_jobs_per_s: f64,
     jobs_per_sec_per_core: f64,
     fsyncs_per_accept: f64,
-    batch_occupancy: f64,
 }
 
 #[derive(Clone, Debug)]
@@ -350,74 +349,92 @@ struct Baseline {
     serve: ServeBench,
 }
 
-// The baseline file is ordinary JSON written with `format!`: flat
-// `"key": number` pairs inside fixed objects, with keys unique across
-// the document so `--check` can read them back with `json_f64`.
+// The baseline file nests one object per bench, with keys unique
+// across the whole document, so `--check` finds each gated key at any
+// depth.
 
 impl Baseline {
     fn to_json(&self) -> String {
         let q = &self.queue;
         let s = &self.sim;
-        format!(
-            "{{\n  \"schema\": \"{}\",\n  \"queue\": {{\n    \
-             \"schedule_pop_events_per_sec\": {:.0},\n    \
-             \"cancel_heavy_events_per_sec\": {:.0},\n    \
-             \"churn_events_per_sec\": {:.0},\n    \
-             \"reference_schedule_pop_events_per_sec\": {:.0},\n    \
-             \"reference_cancel_heavy_events_per_sec\": {:.0},\n    \
-             \"reference_churn_events_per_sec\": {:.0},\n    \
-             \"speedup_schedule_pop\": {:.3},\n    \
-             \"speedup_cancel_heavy\": {:.3},\n    \
-             \"speedup_churn\": {:.3}\n  }},\n  \"sim\": {{\n    \
-             \"events\": {},\n    \
-             \"events_per_sec\": {:.0},\n    \
-             \"peak_pending\": {},\n    \
-             \"tombstone_ratio\": {:.4},\n    \
-             \"sim_speedup_vs_pr2\": {:.3}\n  }},\n  \"label_heavy\": {{\n    \
-             \"label_heavy_events\": {},\n    \
-             \"label_heavy_events_per_sec\": {:.0}\n  }},\n  \"suite\": {{\n    \
-             \"suite_cold_secs\": {:.3},\n    \
-             \"suite_warm_secs\": {:.3},\n    \
-             \"suite_warm_speedup\": {:.3}\n  }},\n  \"batch\": {{\n    \
-             \"serial_us_per_case\": {:.2},\n    \
-             \"batch_cold_us_per_case\": {:.2},\n    \
-             \"batch_warm_us_per_case\": {:.2},\n    \
-             \"batch_events_per_s\": {:.0},\n    \
-             \"chaos_batch_speedup\": {:.2}\n  }},\n  \"serve\": {{\n    \
-             \"serve_jobs_per_s\": {:.3},\n    \
-             \"jobs_per_sec_per_core\": {:.3},\n    \
-             \"fsyncs_per_accept\": {:.3},\n    \
-             \"batch_occupancy\": {:.3}\n  }}\n}}",
-            self.schema,
-            q.schedule_pop_events_per_sec,
-            q.cancel_heavy_events_per_sec,
-            q.churn_events_per_sec,
-            q.reference_schedule_pop_events_per_sec,
-            q.reference_cancel_heavy_events_per_sec,
-            q.reference_churn_events_per_sec,
-            q.speedup_schedule_pop,
-            q.speedup_cancel_heavy,
-            q.speedup_churn,
-            s.events,
-            s.events_per_sec,
-            s.peak_pending,
-            s.tombstone_ratio,
-            s.speedup_vs_pr2,
-            self.label_heavy.events,
-            self.label_heavy.events_per_sec,
-            self.suite.cold_secs,
-            self.suite.warm_secs,
-            self.suite.warm_speedup,
-            self.batch.serial_us_per_case,
-            self.batch.batch_cold_us_per_case,
-            self.batch.batch_warm_us_per_case,
-            self.batch.batch_events_per_s,
-            self.batch.chaos_batch_speedup,
-            self.serve.serve_jobs_per_s,
-            self.serve.jobs_per_sec_per_core,
-            self.serve.fsyncs_per_accept,
-            self.serve.batch_occupancy,
-        )
+        let (l, su, b, sv) = (&self.label_heavy, &self.suite, &self.batch, &self.serve);
+        let r = Json::rounded;
+        Json::obj([
+            ("schema", self.schema.as_str().into()),
+            (
+                "queue",
+                Json::obj([
+                    (
+                        "schedule_pop_events_per_sec",
+                        r(q.schedule_pop_events_per_sec, 0),
+                    ),
+                    (
+                        "cancel_heavy_events_per_sec",
+                        r(q.cancel_heavy_events_per_sec, 0),
+                    ),
+                    ("churn_events_per_sec", r(q.churn_events_per_sec, 0)),
+                    (
+                        "reference_schedule_pop_events_per_sec",
+                        r(q.reference_schedule_pop_events_per_sec, 0),
+                    ),
+                    (
+                        "reference_cancel_heavy_events_per_sec",
+                        r(q.reference_cancel_heavy_events_per_sec, 0),
+                    ),
+                    (
+                        "reference_churn_events_per_sec",
+                        r(q.reference_churn_events_per_sec, 0),
+                    ),
+                    ("speedup_schedule_pop", r(q.speedup_schedule_pop, 3)),
+                    ("speedup_cancel_heavy", r(q.speedup_cancel_heavy, 3)),
+                    ("speedup_churn", r(q.speedup_churn, 3)),
+                ]),
+            ),
+            (
+                "sim",
+                Json::obj([
+                    ("events", s.events.into()),
+                    ("events_per_sec", r(s.events_per_sec, 0)),
+                    ("peak_pending", (s.peak_pending as u64).into()),
+                    ("tombstone_ratio", r(s.tombstone_ratio, 4)),
+                    ("sim_speedup_vs_pr2", r(s.speedup_vs_pr2, 3)),
+                ]),
+            ),
+            (
+                "label_heavy",
+                Json::obj([
+                    ("label_heavy_events", l.events.into()),
+                    ("label_heavy_events_per_sec", r(l.events_per_sec, 0)),
+                ]),
+            ),
+            (
+                "suite",
+                Json::obj([
+                    ("suite_cold_secs", r(su.cold_secs, 3)),
+                    ("suite_warm_secs", r(su.warm_secs, 3)),
+                    ("suite_warm_speedup", r(su.warm_speedup, 3)),
+                ]),
+            ),
+            (
+                "batch",
+                Json::obj([
+                    ("serial_us_per_case", r(b.serial_us_per_case, 2)),
+                    ("batch_cold_us_per_case", r(b.batch_cold_us_per_case, 2)),
+                    ("batch_warm_us_per_case", r(b.batch_warm_us_per_case, 2)),
+                    ("batch_events_per_s", r(b.batch_events_per_s, 0)),
+                    ("chaos_batch_speedup", r(b.chaos_batch_speedup, 2)),
+                ]),
+            ),
+            (
+                "serve",
+                Json::obj([
+                    ("serve_jobs_per_s", r(sv.serve_jobs_per_s, 3)),
+                    ("jobs_per_sec_per_core", r(sv.jobs_per_sec_per_core, 3)),
+                    ("fsyncs_per_accept", r(sv.fsyncs_per_accept, 3)),
+                ]),
+            ),
+        ])
+        .render(true)
     }
 }
 
@@ -644,13 +661,12 @@ fn serve_child(socket: &str, dir: &str) -> ! {
 }
 
 /// Serving hot path: this binary re-executed as a server subprocess
-/// (batched dispatch K=8 and the 200 µs group-commit window at their
-/// defaults), driven by 8 concurrent clients each doing synchronous
+/// (the 200 µs group-commit window at its default), driven by 8 concurrent clients each doing synchronous
 /// `submit_and_wait` round-trips over the unix socket — the same shape
 /// and process boundary as the CI loadgen gate. A warmup burst primes the child's
-/// scenario cache before best-of-`REPS` measured bursts; journal and
-/// dispatch ratios come from diffing the server's `Status` counters
-/// around the measured window, so warmup traffic cannot dilute them.
+/// scenario cache before best-of-`REPS` measured bursts; the journal
+/// ratio comes from diffing the server's `Status` counters around the
+/// measured window, so warmup traffic cannot dilute it.
 ///
 /// `serve_jobs_per_s` carries the ≥180 absolute floor (2× the PR 6
 /// one-fsync-per-accept serving baseline of ~90 jobs/s on the
@@ -667,8 +683,8 @@ fn bench_serve() -> ServeBench {
     // IOPS bucket, so on-disk serving throughput measures the
     // hypervisor's token refill rate (441..1845 jobs/s run-to-run on
     // an idle box), not the serving path. tmpfs keeps the syscall and
-    // coalescing behaviour — the fsync and occupancy ratios are
-    // unchanged — with run-to-run spread under 10%.
+    // coalescing behaviour — the fsync ratio is unchanged — with
+    // run-to-run spread under 10%.
     let base = std::path::Path::new("/dev/shm");
     let base = if base.is_dir() {
         base.to_path_buf()
@@ -747,8 +763,6 @@ fn bench_serve() -> ServeBench {
 
     let accepts = after.accepts.saturating_sub(before.accepts);
     let fsyncs = after.fsyncs.saturating_sub(before.fsyncs);
-    let dispatches = after.dispatches.saturating_sub(before.dispatches);
-    let dispatched = after.dispatched_jobs.saturating_sub(before.dispatched_jobs);
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1) as f64;
@@ -758,19 +772,14 @@ fn bench_serve() -> ServeBench {
     // A single loadgen run on a contended 1-core box lands anywhere
     // between ~70% and ~95% of this bench's best-of-REPS, so the key
     // is derated to 0.7x: the resulting 0.8 * 0.7 = 0.56x bar still
-    // catches a collapse back to solo dispatch without flaking on
-    // scheduler noise. `serve_jobs_per_s` stays undiluted and carries
+    // catches a collapse back to one fsync per job without flaking
+    // on scheduler noise. `serve_jobs_per_s` stays undiluted and carries
     // the absolute >= 180 floor.
     ServeBench {
         serve_jobs_per_s: jobs_per_s,
         jobs_per_sec_per_core: jobs_per_s * 0.7 / cores,
         fsyncs_per_accept: if accepts > 0 {
             fsyncs as f64 / accepts as f64
-        } else {
-            0.0
-        },
-        batch_occupancy: if dispatches > 0 {
-            dispatched as f64 / dispatches as f64
         } else {
             0.0
         },
@@ -811,7 +820,11 @@ fn merge_best(a: &mut Baseline, b: &Baseline) {
 /// `>20%` below the saved baseline fails the gate.
 fn check(current: &Baseline, saved_text: &str) -> Result<(), Vec<String>> {
     let mut failures = Vec::new();
-    let mut gate = |name: &str, key: &str, now: f64| match json_f64(saved_text, key) {
+    let saved = match parse_json(saved_text) {
+        Ok(doc) => doc,
+        Err(e) => return Err(vec![format!("baseline file is not JSON: {e}")]),
+    };
+    let mut gate = |name: &str, key: &str, now: f64| match saved.find(key).and_then(Json::as_f64) {
         Some(base) if base > 0.0 && now < base * 0.8 => {
             failures.push(format!(
                 "{name}: {now:.0} is {:.1}% below baseline {base:.0}",
@@ -928,7 +941,7 @@ fn main() {
     let suite = bench_suite();
     eprintln!("measuring chaos cases serial vs. batched (cold and memo-warm)...");
     let batch = bench_batch();
-    eprintln!("measuring serving hot path (8 clients, warm cache, batched group commit)...");
+    eprintln!("measuring serving hot path (8 clients, warm cache, group commit)...");
     let serve = bench_serve();
     let mut current = Baseline {
         schema: "hq-perf-baseline-v4".to_string(),
@@ -966,12 +979,10 @@ fn main() {
         current.batch.chaos_batch_speedup,
     );
     eprintln!(
-        "serving hot path: {:.1} jobs/s ({:.1}/core), {:.3} fsyncs/accept, \
-         batch occupancy {:.2}",
+        "serving hot path: {:.1} jobs/s ({:.1}/core), {:.3} fsyncs/accept",
         current.serve.serve_jobs_per_s,
         current.serve.jobs_per_sec_per_core,
         current.serve.fsyncs_per_accept,
-        current.serve.batch_occupancy,
     );
 
     if write {

@@ -356,8 +356,7 @@ fn build_sim(spec: &CaseSpec) -> GpuSim {
     sim
 }
 
-/// Classify one simulation result (shared by the serial and batched
-/// paths, so both produce identical outcomes for identical runs).
+/// Classify one simulation result.
 fn classify(run: Result<SimResult, SimError>) -> CaseOutcome {
     match run {
         Err(e @ SimError::AuditFailure { .. }) => {
@@ -408,7 +407,7 @@ pub fn run_case(spec: &CaseSpec) -> CaseOutcome {
 }
 
 // ---------------------------------------------------------------------
-// Batched case execution
+// Memoized case execution
 // ---------------------------------------------------------------------
 
 /// Per-case outcome memo keyed by the case's compact JSON rendering
@@ -449,47 +448,34 @@ pub fn reset_case_cache() {
     CASE_MISSES.store(0, Ordering::Relaxed);
 }
 
-/// Run many cases, consulting the per-case memo first: memo hits are
-/// answered from it and the cold cases run back to back through
-/// [`run_case`] (each under its own `catch_unwind`), so the outcome of
-/// every spec, in order, is exactly what [`run_case`] classifies.
+/// Run many cases in order through the per-case memo: a hit is
+/// answered from it, a miss runs through [`run_case`] (under its own
+/// `catch_unwind`) and is inserted, so the outcome of every spec is
+/// exactly what [`run_case`] classifies.
 pub fn run_case_batch(specs: &[CaseSpec]) -> Vec<CaseOutcome> {
-    let cached = case_cache_enabled();
-    let mut results: Vec<Option<CaseOutcome>> = specs.iter().map(|_| None).collect();
-    let mut keys: Vec<Option<(u64, String)>> = specs.iter().map(|_| None).collect();
-    let mut cold: Vec<usize> = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        if !cached {
-            cold.push(i);
-            continue;
-        }
-        let pre = case_json(spec).render(false);
-        let key = fnv1a(pre.as_bytes());
-        if let Some(out) = {
-            let memo = case_memo().lock();
-            memo.get(&key)
-                .filter(|(stored, _)| *stored == pre)
-                .map(|(_, out)| out.clone())
-        } {
-            CASE_HITS.fetch_add(1, Ordering::Relaxed);
-            results[i] = Some(out);
-            continue;
-        }
-        CASE_MISSES.fetch_add(1, Ordering::Relaxed);
-        keys[i] = Some((key, pre));
-        cold.push(i);
+    specs.iter().map(run_case_memoized).collect()
+}
+
+/// [`run_case`] behind the per-case memo.
+fn run_case_memoized(spec: &CaseSpec) -> CaseOutcome {
+    if !case_cache_enabled() {
+        return run_case(spec);
     }
-    for i in cold {
-        let out = run_case(&specs[i]);
-        if let Some((key, pre)) = keys[i].take() {
-            case_memo().lock().insert(key, (pre, out.clone()));
-        }
-        results[i] = Some(out);
+    let pre = case_json(spec).render(false);
+    let key = fnv1a(pre.as_bytes());
+    if let Some(out) = {
+        let memo = case_memo().lock();
+        memo.get(&key)
+            .filter(|(stored, _)| *stored == pre)
+            .map(|(_, out)| out.clone())
+    } {
+        CASE_HITS.fetch_add(1, Ordering::Relaxed);
+        return out;
     }
-    results
-        .into_iter()
-        .map(|r| r.expect("every case resolved"))
-        .collect()
+    CASE_MISSES.fetch_add(1, Ordering::Relaxed);
+    let out = run_case(spec);
+    case_memo().lock().insert(key, (pre, out.clone()));
+    out
 }
 
 // ---------------------------------------------------------------------

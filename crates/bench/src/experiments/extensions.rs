@@ -17,12 +17,9 @@ use crate::util::{par_map, ExperimentReport, Scale};
 use hq_des::time::Dur;
 use hq_gpu::prelude::*;
 use hq_workloads::apps::AppKind;
-use crate::scenario::{run_scenario, run_scenario_batch, run_scenario_batch_jobs, run_scenario_workload};
+use crate::scenario::{run_scenario, run_scenario_workload};
 use hyperq_core::autosched::{AutoScheduler, Objective};
-use hyperq_core::harness::{
-    build_schedule, homogeneous_workload, pair_workload, AppSpec, RecoveryPolicy, RunConfig,
-    RunOutcome,
-};
+use hyperq_core::harness::{homogeneous_workload, pair_workload, RecoveryPolicy, RunConfig};
 use hyperq_core::metrics::improvement;
 use hyperq_core::ordering::ScheduleOrder;
 use hyperq_core::report::{pct, Table};
@@ -216,19 +213,9 @@ pub fn heterogeneity_study(scale: Scale) -> ExperimentReport {
     }
 }
 
-/// [`hyperq_core::autosched::BatchRunner`] backed by the batched
-/// scenario cache: warm candidates come straight from the cache, cold
-/// ones run back to back.
-fn scenario_batch_runner(
-    cfg: &RunConfig,
-    lanes: &[Vec<AppSpec>],
-) -> Vec<Result<RunOutcome, SimError>> {
-    run_scenario_batch(cfg, lanes)
-}
-
 /// §VI future work: the greedy dynamic scheduler vs canonical orders.
-/// Candidate evaluation is batched (identical `SearchResult` to the
-/// serial search — `optimize_batched` replays the serial walk).
+/// Candidates are evaluated through the scenario cache, so a repeated
+/// candidate costs a cache hit.
 pub fn autosched_study(scale: Scale) -> ExperimentReport {
     let na = scale.pick(8, 4);
     let kinds = pair_workload(AppKind::Needle, AppKind::Knearest, na as usize);
@@ -246,7 +233,7 @@ pub fn autosched_study(scale: Scale) -> ExperimentReport {
             swap_budget: scale.pick(24, 6),
             seed: 17,
         };
-        let res = sched.optimize_batched(scenario_batch_runner, &cfg, &kinds);
+        let res = sched.optimize_with(run_scenario, &cfg, &kinds);
         // Sanity: re-running the found schedule reproduces the score.
         let replay = run_scenario(&cfg, &res.schedule).expect("replay");
         let replay_score = match objective {
@@ -306,14 +293,9 @@ pub fn fault_sweep(scale: Scale) -> ExperimentReport {
     let baseline = run_scenario_workload(&RunConfig::concurrent(na), &kinds)
         .expect("baseline")
         .makespan();
-    // Every (rate, policy) lane goes through one
-    // `run_scenario_batch_jobs` call: warm lanes are served from the
-    // scenario cache, cold ones run back to back, so outcomes — and the
-    // artifact bytes derived from them — are identical to per-lane
-    // `run_scenario_workload` calls.
-    let batch_jobs: Vec<(RunConfig, Vec<AppSpec>)> = jobs
+    let rows: Vec<_> = jobs
         .iter()
-        .map(|&(rate, _, policy)| {
+        .map(|&(rate, name, policy)| {
             let plan = FaultPlan::none()
                 .with_rate(FaultKind::KernelFault, rate)
                 .with_rate(FaultKind::CopyFail, rate / 2.0)
@@ -321,16 +303,7 @@ pub fn fault_sweep(scale: Scale) -> ExperimentReport {
             let cfg = RunConfig::concurrent(na)
                 .with_faults(plan)
                 .with_recovery(policy);
-            let specs = build_schedule(&kinds, cfg.order, cfg.seed);
-            (cfg, specs)
-        })
-        .collect();
-    let outs = run_scenario_batch_jobs(&batch_jobs);
-    let rows: Vec<_> = jobs
-        .iter()
-        .zip(outs)
-        .map(|(&(rate, name, _), out)| {
-            let out = out.expect("faulty run drains");
+            let out = run_scenario_workload(&cfg, &kinds).expect("faulty run drains");
             let failed = out
                 .result
                 .apps

@@ -254,82 +254,15 @@ pub fn scenario_is_warm(cfg: &RunConfig, kinds: &[AppKind]) -> bool {
         .is_some()
 }
 
-/// Batched [`run_scenario`]: run `lanes.len()` schedules of one shared
-/// config. Cache integration is per lane: each lane gets its own
-/// [`ScenarioKey`]; warm lanes are served from the memo/disk cache
-/// first, then the cold lanes run back to back (DESIGN.md §5h) and are
-/// inserted into both cache layers on completion. Outputs are
-/// element-for-element identical to serial [`run_scenario`] calls.
-pub fn run_scenario_batch(
-    cfg: &RunConfig,
-    lanes: &[Vec<AppSpec>],
-) -> Vec<Result<RunOutcome, SimError>> {
-    let jobs: Vec<(RunConfig, Vec<AppSpec>)> =
-        lanes.iter().map(|specs| (cfg.clone(), specs.clone())).collect();
-    run_scenario_batch_jobs(&jobs)
-}
-
-/// Fully general batched scenario entry: each job carries its own
-/// config (the fault sweep batches across fault rates and policies this
-/// way). Two identical cold jobs in one batch both run — the batch is
-/// not deduplicated, only cache-filtered — which is wasteful but
-/// correct: both lanes produce the same bytes and the same cache entry.
+/// [`run_scenario`] over a list of jobs, each with its own config, in
+/// order. Kept as one call for callers that hand over a whole sweep;
+/// jobs share nothing (DESIGN.md §5h), so an identical later job is a
+/// cache hit of an earlier one.
 pub fn run_scenario_batch_jobs(
     jobs: &[(RunConfig, Vec<AppSpec>)],
 ) -> Vec<Result<RunOutcome, SimError>> {
-    let mode = cache_mode();
-    let mut results: Vec<Option<Result<RunOutcome, SimError>>> =
-        jobs.iter().map(|_| None).collect();
-    // Per-job `(key, preimage)` for cold lanes that must be inserted on
-    // completion (`None` with the cache off).
-    let mut keys: Vec<Option<(u64, String)>> = jobs.iter().map(|_| None).collect();
-    let mut cold: Vec<usize> = Vec::new();
-    for (i, (cfg, specs)) in jobs.iter().enumerate() {
-        if mode == CacheMode::Off {
-            cold.push(i);
-            continue;
-        }
-        let pre = preimage(cfg, specs);
-        let key = ScenarioKey(fnv1a(pre.as_bytes()));
-        if let Some(out) = {
-            let memo = memo().lock();
-            memo.get(&key.0)
-                .filter(|(stored, _)| *stored == pre)
-                .map(|(_, out)| out.clone())
-        } {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            results[i] = Some(Ok(out));
-            continue;
-        }
-        if mode == CacheMode::MemoAndDisk {
-            let path = cache_dir().join(format!("{}.v{DISK_VERSION}", key.hex()));
-            if let Some(out) = read_entry(&path, &pre, cfg) {
-                HITS.fetch_add(1, Ordering::Relaxed);
-                memo().lock().insert(key.0, (pre, out.clone()));
-                results[i] = Some(Ok(out));
-                continue;
-            }
-        }
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        keys[i] = Some((key.0, pre));
-        cold.push(i);
-    }
-    for i in cold {
-        let (cfg, specs) = &jobs[i];
-        let out = run_schedule(cfg, specs);
-        if let (Ok(ok), Some((key, pre))) = (&out, keys[i].take()) {
-            if mode == CacheMode::MemoAndDisk && std::fs::create_dir_all(cache_dir()).is_ok() {
-                let path = cache_dir().join(format!("{}.v{DISK_VERSION}", ScenarioKey(key).hex()));
-                // Best-effort: a failed write just means a future miss.
-                let _ = write_atomic(&path, &encode(&pre, ok));
-            }
-            memo().lock().insert(key, (pre, ok.clone()));
-        }
-        results[i] = Some(out);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every batched lane resolved"))
+    jobs.iter()
+        .map(|(cfg, specs)| run_scenario(cfg, specs))
         .collect()
 }
 

@@ -29,11 +29,10 @@
 //! * **Graceful shutdown** — SIGTERM or a `shutdown` request stops
 //!   accepting, drains in-flight jobs, seals the journal and removes
 //!   the socket.
-//! * **Batch concurrency** — workers drain up to `--dispatch-batch`
-//!   queued jobs per wakeup (in DRR order), run them back to back
-//!   through the scenario cache and mark them done with one journal
-//!   write, and `--commit-window-us` group commit coalesces concurrent
-//!   accept fsyncs into one `sync_data` (DESIGN §5j).
+//! * **Concurrency** — each worker wakeup pops one queued job in DRR
+//!   order, runs it through the scenario cache and publishes its
+//!   result at once, and `--commit-window-us` group commit coalesces
+//!   concurrent accept fsyncs into one `sync_data` (DESIGN §5j).
 //!
 //! Workers are plain [`std::thread`]s over the scenario cache; the
 //! whole service uses only `std` primitives (`Mutex` + `Condvar` —
@@ -105,10 +104,6 @@ pub struct ServeOptions {
     /// past which brownout sheds cold work, serving warm scenario-cache
     /// hits only. 0 disables brownout.
     pub brownout_threshold: f64,
-    /// Max queued jobs a worker drains per wakeup, runs back to back
-    /// and marks done with one journal write. 1 reproduces solo
-    /// dispatch exactly.
-    pub dispatch_batch: usize,
     /// Group-commit window in microseconds: concurrent accept records
     /// staged within one window share a single fsync, with `accepted`
     /// replies released only after it returns. 0 restores one
@@ -134,7 +129,6 @@ impl ServeOptions {
             tenant_burst: 0.0,
             drr_quantum: 1,
             brownout_threshold: 0.0,
-            dispatch_batch: 8,
             commit_window_us: 200,
         }
     }
@@ -397,8 +391,8 @@ impl GroupCommit {
     }
 
     /// Every record staged so far just became durable through someone
-    /// else's `sync_data` on the same file (a worker's batched done
-    /// marks). Call under the server state lock, which freezes
+    /// else's `sync_data` on the same file (a worker's synchronous
+    /// done mark). Call under the server state lock, which freezes
     /// `written_seq` for the duration of that sync.
     fn note_sync(&self) {
         let mut s = self.lock();
@@ -587,10 +581,8 @@ pub struct Server {
     opts: ServeOptions,
     stop: AtomicBool,
     gc: GroupCommit,
-    /// Worker wakeups that dispatched ≥ 1 job.
+    /// Jobs dispatched (one per worker wakeup).
     dispatches: AtomicU64,
-    /// Jobs dispatched across all wakeups (occupancy numerator).
-    dispatched_jobs: AtomicU64,
     /// Submits answered `accepted`.
     accepts: AtomicU64,
     /// Submits answered with the original id of an already-accepted
@@ -683,7 +675,6 @@ impl Server {
             opts,
             stop: AtomicBool::new(false),
             dispatches: AtomicU64::new(0),
-            dispatched_jobs: AtomicU64::new(0),
             accepts: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
         });
@@ -974,7 +965,7 @@ impl Server {
             open_circuits,
             tenants: g.tenants.stats(),
             dispatches: self.dispatches.load(Ordering::Relaxed),
-            dispatched_jobs: self.dispatched_jobs.load(Ordering::Relaxed),
+            dispatched_jobs: self.dispatches.load(Ordering::Relaxed),
             accepts: self.accepts.load(Ordering::Relaxed),
             fsyncs,
             window_flushes,
@@ -996,27 +987,17 @@ impl Server {
 
     fn worker_loop(self: &Arc<Self>) {
         let policy = self.opts.tenant_policy();
-        let k = self.opts.dispatch_batch.max(1);
+        let expired = |d: Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
         loop {
-            // Drain up to K jobs in one wakeup. Each drain is a plain
-            // DRR pop, so tenancy order and per-tenant in-flight caps
-            // hold exactly as for solo dispatch — K-at-a-time changes
-            // only how many pops share one wakeup.
-            let batch = {
+            // One DRR pop per wakeup: the job's result is published as
+            // soon as it finishes, and an idle worker can take the next
+            // queued job meanwhile.
+            let job = {
                 let mut g = self.lock();
                 loop {
-                    let mut batch = Vec::new();
-                    while batch.len() < k {
-                        match g.tenants.pop(&policy) {
-                            Some((_, job)) => {
-                                g.running.insert(job.id);
-                                batch.push(job);
-                            }
-                            None => break,
-                        }
-                    }
-                    if !batch.is_empty() {
-                        break batch;
+                    if let Some((_, job)) = g.tenants.pop(&policy) {
+                        g.running.insert(job.id);
+                        break job;
                     }
                     // `pop` can return None with jobs still queued when
                     // every non-empty lane is at its in-flight cap; a
@@ -1035,86 +1016,17 @@ impl Server {
                 }
             };
             self.dispatches.fetch_add(1, Ordering::Relaxed);
-            self.dispatched_jobs
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            let settled = self.execute_batch(batch);
-            let mut g = self.lock();
-            let mut marks = Vec::with_capacity(settled.len());
-            for (job, done, exec_ms, digest) in &settled {
-                g.running.remove(&job.id);
-                g.completed += 1;
-                let served_ms = matches!(done, JobDone::Ok { .. })
-                    .then(|| job.accepted_at.elapsed().as_millis() as u64);
-                g.tenants.complete(&job.spec.tenant, served_ms);
-                if let Some(ms) = exec_ms {
-                    // Feed the deadline forecast with the tenant-
-                    // agnostic class: service time is a property of
-                    // the scenario, not of who submitted it.
-                    let class = job
-                        .spec
-                        .class
-                        .clone()
-                        .unwrap_or_else(|| job.spec.signature());
-                    g.estimator.observe(&class, *ms);
-                }
-                let success = !matches!(done, JobDone::Panicked(_) | JobDone::SimError(_));
-                g.breakers
-                    .entry(breaker_key(&job.spec))
-                    .or_default()
-                    .record(
-                        success,
-                        Instant::now(),
-                        self.opts.breaker_threshold,
-                        Duration::from_millis(self.opts.breaker_cooldown_ms),
-                    );
-                marks.push((job.id, done.code(), *digest));
-            }
-            // One buffered write marks the whole batch done. Done
-            // marks owe no durability (a lost `D` replays the job to a
-            // byte-identical artifact), so under group commit the
-            // bytes ride to disk with the next commit window or the
-            // shutdown seal instead of costing a worker fsync here.
-            // With the window off, the solo-path contract stands: sync
-            // now, and the covering fsync releases nothing because no
-            // submitter ever stages.
-            let sync_now = self.opts.commit_window_us == 0;
-            // A failed done-mark write latches the journal failed (the
-            // guard in `done_batch` does it); subsequent submits answer
-            // `unavailable`. The completions themselves stand — a lost
-            // `D` only costs a harmless replay.
-            match g.journal.done_batch(&marks, sync_now) {
-                Ok(()) if sync_now => self.gc.note_sync(),
-                Ok(()) => {}
-                Err(e) => eprintln!("service: journal done marks failed, journal sealed: {e}"),
-            }
-            for (job, done, _, _) in settled {
-                g.results.insert(job.id, done);
-            }
-            self.cond.notify_all();
-        }
-    }
-
-    /// Execute a dispatched batch outside any lock, one job after
-    /// another, returning per-job `(job, outcome, exec_ms, digest)` in
-    /// dispatch order. Each job is timed on its own, so the deadline
-    /// forecast learns a warm cache hit's cost and a cold run's cost
-    /// apart; a job whose deadline passed while it waited is cancelled
-    /// without running.
-    fn execute_batch(
-        &self,
-        batch: Vec<QueuedJob>,
-    ) -> Vec<(QueuedJob, JobDone, Option<f64>, Option<u64>)> {
-        let expired = |d: Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
-        batch
-            .into_iter()
-            .map(|job| {
-                let deadline = job
-                    .spec
-                    .deadline_ms
-                    .map(|ms| job.accepted_at + Duration::from_millis(ms));
-                if expired(deadline) {
-                    return (job, JobDone::DeadlineExceeded, None, None);
-                }
+            // Execute outside any lock. The job is timed on its own, so
+            // the deadline forecast learns a warm cache hit's cost and
+            // a cold run's cost apart; a job whose deadline passed
+            // while it waited is cancelled without running.
+            let deadline = job
+                .spec
+                .deadline_ms
+                .map(|ms| job.accepted_at + Duration::from_millis(ms));
+            let (done, exec_ms, digest) = if expired(deadline) {
+                (JobDone::DeadlineExceeded, None, None)
+            } else {
                 let started = Instant::now();
                 let exec = execute_spec(&job.spec);
                 let exec_ms = started.elapsed().as_secs_f64() * 1000.0;
@@ -1125,9 +1037,58 @@ impl Server {
                 } else {
                     finish(&self.opts, job.id, exec)
                 };
-                (job, done, Some(exec_ms), digest)
-            })
-            .collect()
+                (done, Some(exec_ms), digest)
+            };
+            let mut g = self.lock();
+            g.running.remove(&job.id);
+            g.completed += 1;
+            let served_ms = matches!(done, JobDone::Ok { .. })
+                .then(|| job.accepted_at.elapsed().as_millis() as u64);
+            g.tenants.complete(&job.spec.tenant, served_ms);
+            if let Some(ms) = exec_ms {
+                // Feed the deadline forecast with the tenant-agnostic
+                // class: service time is a property of the scenario,
+                // not of who submitted it.
+                let class = job
+                    .spec
+                    .class
+                    .clone()
+                    .unwrap_or_else(|| job.spec.signature());
+                g.estimator.observe(&class, ms);
+            }
+            let success = !matches!(done, JobDone::Panicked(_) | JobDone::SimError(_));
+            g.breakers
+                .entry(breaker_key(&job.spec))
+                .or_default()
+                .record(
+                    success,
+                    Instant::now(),
+                    self.opts.breaker_threshold,
+                    Duration::from_millis(self.opts.breaker_cooldown_ms),
+                );
+            // Done marks owe no durability (a lost `D` replays the job
+            // to a byte-identical artifact), so under group commit the
+            // bytes ride to disk with the next commit window or the
+            // shutdown seal instead of costing a worker fsync here.
+            // With the window off, the solo-path contract stands: sync
+            // now, and the covering fsync releases nothing because no
+            // submitter ever stages. A failed write latches the journal
+            // failed (its append guard does it); subsequent submits
+            // answer `unavailable`. The completion itself stands — a
+            // lost `D` only costs a harmless replay.
+            let marked = if self.opts.commit_window_us == 0 {
+                g.journal
+                    .done(job.id, done.code(), digest)
+                    .map(|()| self.gc.note_sync())
+            } else {
+                g.journal.done_nosync(job.id, done.code(), digest)
+            };
+            if let Err(e) = marked {
+                eprintln!("service: journal done mark failed, journal sealed: {e}");
+            }
+            g.results.insert(job.id, done);
+            self.cond.notify_all();
+        }
     }
 
     /// Bind the socket and serve until SIGTERM or a `shutdown`
@@ -1686,24 +1647,27 @@ mod tests {
         assert!(run_job_direct(&panicky).is_err());
     }
 
-    /// Every job of a dispatched batch is timed on its own, so the
-    /// deadline forecast charges a warm cache hit its own small cost
-    /// rather than an even share of a cold run's.
-    #[test]
-    fn batched_jobs_feed_the_forecast_their_own_service_times() {
-        let root = std::env::temp_dir().join(format!("hq_batch_timing_{}", std::process::id()));
+    /// Options for an in-process server under a fresh temp root, with
+    /// the commit window off.
+    fn test_opts(tag: &str, workers: usize) -> (PathBuf, ServeOptions) {
+        let root = std::env::temp_dir().join(format!("hq_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
         let mut opts = ServeOptions::new(root.join("hq.sock"));
         opts.journal = root.join("journal").join("service.wal");
         opts.artifact_dir = root.join("service");
-        opts.workers = 1;
-        opts.dispatch_batch = 2;
+        opts.workers = workers;
         opts.commit_window_us = 0;
+        (root, opts)
+    }
+
+    /// A warm spec (its cache already filled) and a heavy spec no
+    /// earlier run can have cached.
+    fn warm_and_cold() -> (JobSpec, JobSpec) {
         let warm = JobSpec {
             class: Some("warm".to_string()),
             ..JobSpec::default()
         };
         run_job_direct(&warm).expect("warm-up run fills the cache");
-        // A seed no earlier run can have cached.
         let fresh = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .expect("clock after the epoch")
@@ -1715,16 +1679,41 @@ mod tests {
             class: Some("cold".to_string()),
             ..JobSpec::default()
         };
-        let (server, _) = Server::new(opts).expect("server starts");
-        for spec in [warm, cold] {
-            let resp = server.handle(Request::Submit(spec));
-            assert!(matches!(resp, Response::Accepted(_)), "{resp:?}");
+        (warm, cold)
+    }
+
+    /// Job ids in the order of their journal done marks. Records are
+    /// `<crc> D <id> <status> [digest]`, one per line.
+    fn done_order(journal: &Path) -> Vec<u64> {
+        let wal = std::fs::read_to_string(journal).expect("journal readable");
+        wal.lines()
+            .filter_map(|l| match l.split(' ').collect::<Vec<_>>()[..] {
+                [_, "D", id, ..] => id.parse().ok(),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn submit(server: &Server, spec: JobSpec) -> u64 {
+        match server.handle(Request::Submit(spec)) {
+            Response::Accepted(id) => id,
+            resp => panic!("{resp:?}"),
         }
+    }
+
+    /// Every job is timed on its own, so the deadline forecast charges
+    /// a warm cache hit its own small cost rather than a share of a
+    /// cold run's.
+    #[test]
+    fn jobs_feed_the_forecast_their_own_service_times() {
+        let (root, opts) = test_opts("forecast", 1);
+        let (warm, cold) = warm_and_cold();
+        let (server, _) = Server::new(opts).expect("server starts");
+        submit(&server, warm);
+        submit(&server, cold);
         server.handle(Request::Shutdown);
-        // Drains both queued jobs in one wakeup, then exits.
+        // Drains both queued jobs, then exits.
         server.worker_loop();
-        assert_eq!(server.dispatches.load(Ordering::Relaxed), 1, "one batch");
-        assert_eq!(server.dispatched_jobs.load(Ordering::Relaxed), 2);
         let g = server.lock();
         let warm_ms = g.estimator.estimate("warm").expect("warm job observed");
         let cold_ms = g.estimator.estimate("cold").expect("cold job observed");
@@ -1733,6 +1722,61 @@ mod tests {
             "warm forecast {warm_ms} ms vs cold {cold_ms} ms"
         );
         drop(g);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A warm job queued behind a heavy cold one is taken by the idle
+    /// second worker and published first: no worker holds a queued job
+    /// it is not running.
+    #[test]
+    fn idle_worker_takes_the_job_queued_behind_a_heavy_one() {
+        let (root, opts) = test_opts("idle_worker", 2);
+        let (warm, cold) = warm_and_cold();
+        let journal = opts.journal.clone();
+        let (server, _) = Server::new(opts).expect("server starts");
+        let cold_id = submit(&server, cold);
+        let warm_id = submit(&server, warm);
+        server.handle(Request::Shutdown);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| server.worker_loop());
+            }
+        });
+        assert_eq!(
+            done_order(&journal),
+            [warm_id, cold_id],
+            "warm job published first"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// One worker takes a two-tenant backlog in DRR turn: although all
+    /// of alpha's jobs were queued first, the done marks alternate.
+    #[test]
+    fn one_worker_serves_a_two_tenant_backlog_in_drr_turn() {
+        let (root, opts) = test_opts("drr_turn", 1);
+        let journal = opts.journal.clone();
+        let (server, _) = Server::new(opts).expect("server starts");
+        let [alpha, beta] = ["alpha", "beta"].map(|tenant| {
+            (0..3)
+                .map(|seed| {
+                    let spec = JobSpec {
+                        tenant: tenant.to_string(),
+                        seed,
+                        ..JobSpec::default()
+                    };
+                    submit(&server, spec)
+                })
+                .collect::<Vec<_>>()
+        });
+        server.handle(Request::Shutdown);
+        server.worker_loop();
+        let turns: Vec<u64> = alpha
+            .iter()
+            .zip(&beta)
+            .flat_map(|(a, b)| [*a, *b])
+            .collect();
+        assert_eq!(done_order(&journal), turns);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -548,15 +548,16 @@ pub struct StatusReport {
     pub open_circuits: Vec<String>,
     /// Per-tenant serving counters, sorted by tenant name.
     pub tenants: Vec<TenantStat>,
-    /// Worker wakeups that dispatched at least one job.
+    /// Jobs dispatched. A worker wakeup dispatches exactly one job, so
+    /// this also counts wakeups that found work.
     pub dispatches: u64,
-    /// Jobs dispatched across all wakeups; `dispatched_jobs /
-    /// dispatches` is the mean batch occupancy.
+    /// Jobs dispatched — equal to `dispatches` (their ratio is 1 by
+    /// construction); both stay on the wire for existing readers.
     pub dispatched_jobs: u64,
     /// Submits journaled and answered `accepted`.
     pub accepts: u64,
     /// Journal `sync_data` calls issued (accept-side commits plus
-    /// batched done marks). `fsyncs / accepts` < 1 means group commit
+    /// synchronous done marks). `fsyncs / accepts` < 1 means group commit
     /// is amortizing durability across concurrent submitters.
     pub fsyncs: u64,
     /// Accept-side commits whose fsync covered ≥ 2 staged records.
@@ -753,9 +754,9 @@ impl Response {
                         })
                         .collect::<Result<_, _>>()?
                 };
-                let batch: Vec<&str> = toks[9].split(':').collect();
-                if batch.len() != 8 {
-                    return Err(format!("bad batch counters '{}'", toks[9]));
+                let counters: Vec<&str> = toks[9].split(':').collect();
+                if counters.len() != 8 {
+                    return Err(format!("bad counters '{}'", toks[9]));
                 }
                 Ok(Response::Status(StatusReport {
                     queued: num(toks[2])?,
@@ -765,14 +766,14 @@ impl Response {
                     shed: num(toks[6])?,
                     open_circuits,
                     tenants,
-                    dispatches: num(batch[0])?,
-                    dispatched_jobs: num(batch[1])?,
-                    accepts: num(batch[2])?,
-                    fsyncs: num(batch[3])?,
-                    window_flushes: num(batch[4])?,
-                    solo_flushes: num(batch[5])?,
-                    cache_corrupt: num(batch[6])?,
-                    dedup_hits: num(batch[7])?,
+                    dispatches: num(counters[0])?,
+                    dispatched_jobs: num(counters[1])?,
+                    accepts: num(counters[2])?,
+                    fsyncs: num(counters[3])?,
+                    window_flushes: num(counters[4])?,
+                    solo_flushes: num(counters[5])?,
+                    cache_corrupt: num(counters[6])?,
+                    dedup_hits: num(counters[7])?,
                 }))
             }
             Some("pong") if toks.len() == 2 => Ok(Response::Pong),

@@ -1,8 +1,8 @@
-//! Batched execution equivalence: K scenarios run as lanes of one
-//! merged event loop must be indistinguishable — byte for byte — from
-//! the same K scenarios run serially, across the determinism axes
-//! (faults on/off, `HQ_AUDIT=1`, cold/warm scenario cache), and a lane
-//! that faults must not perturb its siblings.
+//! Batched execution equivalence: K scenarios handed to one batch
+//! entry point must be indistinguishable — byte for byte — from the
+//! same K scenarios run serially, across the determinism axes (faults
+//! on/off, `HQ_AUDIT=1`, cold/warm scenario cache), and a lane that
+//! faults must not perturb its siblings.
 //!
 //! Artifact comparison goes through the scenario cache's own entry
 //! encoding ([`scenario::encode_outcome`]) — the exact bytes the cache
@@ -16,8 +16,7 @@ use hq_des::time::Dur;
 use hq_gpu::prelude::*;
 use hq_workloads::apps::AppKind;
 use hyperq_core::harness::{
-    build_schedule, pair_workload, run_schedule, run_schedule_batch, AppSpec, RecoveryPolicy,
-    RunConfig, RunOutcome,
+    build_schedule, pair_workload, run_schedule, AppSpec, RecoveryPolicy, RunConfig, RunOutcome,
 };
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -65,15 +64,24 @@ fn job_from(na: u32, fault_pm: u32, policy: u8, seed: u64) -> (RunConfig, Vec<Ap
     (cfg, specs)
 }
 
+/// The batch entry point with the scenario cache off, so every lane
+/// genuinely simulates.
+fn uncached_batch(jobs: &[(RunConfig, Vec<AppSpec>)]) -> Vec<Result<RunOutcome, SimError>> {
+    std::env::set_var("HQ_SCENARIO_CACHE", "off");
+    let out = run_scenario_batch_jobs(jobs);
+    std::env::remove_var("HQ_SCENARIO_CACHE");
+    out
+}
+
 /// Serial-vs-batched comparison for a fixed job list, on whatever
-/// env axis the caller has set up. Uses the uncached `run_schedule` /
-/// `run_schedule_batch` pair so both sides genuinely simulate.
+/// env axis the caller has set up. Both sides bypass the scenario
+/// cache, so both genuinely simulate.
 fn assert_batch_matches_serial(jobs: &[(RunConfig, Vec<AppSpec>)], what: &str) {
     let serial: Vec<_> = jobs
         .iter()
         .map(|(cfg, specs)| run_schedule(cfg, specs).expect("serial run"))
         .collect();
-    let batched = run_schedule_batch(jobs);
+    let batched = uncached_batch(jobs);
     assert_eq!(batched.len(), serial.len(), "{what}");
     for (lane, ((cfg, specs), (s, b))) in
         jobs.iter().zip(serial.iter().zip(&batched)).enumerate()
@@ -121,9 +129,9 @@ fn audited_batch_matches_serial() {
 }
 
 /// Cold/warm cache axis for the cached batch entry point: a warm lane
-/// is served from the cache (skipped before batch assembly), a cold
-/// lane simulates and is inserted — and every lane's bytes equal the
-/// serial `run_scenario` result regardless of temperature.
+/// is served from the cache, a cold lane simulates and is inserted —
+/// and every lane's bytes equal the serial `run_scenario` result
+/// regardless of temperature.
 #[test]
 fn batch_cache_integration_per_lane() {
     let _guard = ENV_LOCK.lock();
@@ -137,8 +145,7 @@ fn batch_cache_integration_per_lane() {
     let warm_serial = run_scenario(&jobs[1].0, &jobs[1].1).expect("serial warm-up");
     let (h0, m0) = scenario::cache_stats();
 
-    // Batch: lane 1 must be a hit (skipped before assembly), lanes 0/2
-    // cold misses.
+    // Batch: lane 1 must be a hit, lanes 0/2 cold misses.
     let batched = run_scenario_batch_jobs(&jobs);
     let (h1, m1) = scenario::cache_stats();
     assert_eq!(h1 - h0, 1, "exactly the warm lane hits");
@@ -172,9 +179,9 @@ fn batch_cache_integration_per_lane() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Lane isolation at the harness level: a heavily-faulting lane (with
-/// recovery re-runs) sandwiched between clean lanes must leave the
-/// clean lanes' bytes exactly as their solo serial runs produced them.
+/// Lane isolation: a heavily-faulting lane (with recovery re-runs)
+/// sandwiched between clean lanes must leave the clean lanes' bytes
+/// exactly as their solo serial runs produced them.
 #[test]
 fn faulting_lane_does_not_perturb_clean_siblings() {
     let _guard = ENV_LOCK.lock();
@@ -185,7 +192,7 @@ fn faulting_lane_does_not_perturb_clean_siblings() {
     let solo_b = run_schedule(&clean_b.0, &clean_b.1).expect("solo b");
 
     let jobs = vec![clean_a.clone(), faulty, clean_b.clone()];
-    let batched = run_schedule_batch(&jobs);
+    let batched = uncached_batch(&jobs);
     let a = batched[0].as_ref().expect("lane a");
     let b = batched[2].as_ref().expect("lane b");
     assert_eq!(

@@ -73,10 +73,42 @@ impl Json {
         )
     }
 
+    /// `x` rounded to `places` decimals, for reports read by people:
+    /// it renders as the shortest text of the rounded value.
+    pub fn rounded(x: f64, places: i32) -> Json {
+        let scale = 10f64.powi(places);
+        Json::F64((x * scale).round() / scale)
+    }
+
     /// Object field lookup.
     pub fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The first field named `key` at any depth, searched depth first
+    /// in document order — for documents whose keys are unique
+    /// throughout, whatever their nesting.
+    pub fn find<'a>(&'a self, key: &str) -> Option<&'a Json> {
+        match self {
+            Json::Obj(fields) => {
+                fields
+                    .iter()
+                    .find_map(|(k, v)| if k == key { Some(v) } else { v.find(key) })
+            }
+            Json::Arr(items) => items.iter().find_map(|v| v.find(key)),
+            _ => None,
+        }
+    }
+
+    /// A number as `f64` (an `f64` written as an integer converts back
+    /// exactly); `None` for any other value.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n as f64),
+            Json::F64(x) => Some(*x),
             _ => None,
         }
     }
@@ -92,11 +124,9 @@ impl Json {
     /// Required numeric field as `f64` (an `f64` written as an integer
     /// converts back exactly).
     pub fn float(&self, key: &str) -> Result<f64, String> {
-        match self.get(key) {
-            Some(Json::Num(n)) => Ok(*n as f64),
-            Some(Json::F64(x)) => Ok(*x),
-            _ => Err(format!("missing or non-numeric field '{key}'")),
-        }
+        self.get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
     }
 
     /// Required boolean field.
@@ -493,5 +523,22 @@ mod tests {
         let pretty = "{\n  \"a\": 1,\n  \"b\": [\n    true,\n    false\n  ],\n  \"e\": [],\n  \"o\": {\n    \"x\": null\n  }\n}";
         assert_eq!(v.render(true), pretty);
         assert_eq!(parse_json(pretty), Ok(v));
+    }
+
+    #[test]
+    fn find_reaches_any_depth() {
+        let v =
+            parse_json(r#"{"a": 12.5, "nested": {"b": 3, "l": [{"c": 7}]}, "s": "x"}"#).unwrap();
+        assert_eq!(v.find("a").and_then(Json::as_f64), Some(12.5));
+        assert_eq!(v.find("b").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(v.find("c").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(v.find("s").and_then(Json::as_f64), None);
+        assert_eq!(v.find("missing"), None);
+    }
+
+    #[test]
+    fn rounded_renders_short() {
+        assert_eq!(Json::rounded(2.0 / 3.0, 3).render(false), "0.667");
+        assert_eq!(Json::rounded(1234.56, 0).render(false), "1235");
     }
 }

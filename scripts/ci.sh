@@ -41,13 +41,13 @@
 #      mid-burst, restart with `--recover-only`, and require that the
 #      journal replays the unfinished jobs and every accepted job's
 #      artifact is byte-identical to a direct `run_scenario` rendering,
-#   5b. a serving-throughput gate: a standalone server with batched
-#      dispatch and a 200 µs group-commit window serves a warm
+#   5b. a serving-throughput gate: a standalone server (one job per
+#      worker wakeup, 200 µs group-commit window) serves a warm
 #      8-client loadgen burst; jobs/s-per-core gates against the
-#      committed BENCH_PR9.json (≥2x the PR 6 single-job serving path),
-#      the burst must land strictly under one journal fsync per
-#      accepted job, and a separate --verify burst proves batched-path
-#      artifacts stay byte-identical to direct runs,
+#      committed BENCH_PR9.json (≥2x the one-fsync-per-accept
+#      serving path), the burst must land strictly under one journal
+#      fsync per accepted job, and a separate --verify burst proves
+#      served artifacts stay byte-identical to direct runs,
 #   6. a fleet failover smoke: start the TCP coordinator with three
 #      supervised worker processes, drive a verified loadgen burst that
 #      gates jobs/s-per-core against the committed BENCH_PR6.json (>20%
@@ -208,7 +208,7 @@ SOCK="$SVC_DIR/hq.sock"
 grep -q '"makespan_ns"' "$SVC_DIR/run.json" && ! grep -q __shim_handle "$SVC_DIR/run.json" \
     || { echo "FAIL: run --json wrote no run summary: $(cat "$SVC_DIR/run.json")"; exit 1; }
 HQ_RESULTS="$SVC_DIR" "$HQ" serve --socket "$SOCK" --workers 1 --queue-depth 16 \
-    --dispatch-batch 8 --commit-window-us 200 >"$SVC_DIR/serve.log" 2>&1 &
+    --commit-window-us 200 >"$SVC_DIR/serve.log" 2>&1 &
 SRV_PID=$!
 for _ in $(seq 1 100); do [ -S "$SOCK" ] && break; sleep 0.1; done
 [ -S "$SOCK" ] || { echo "FAIL: server never bound $SOCK"; cat "$SVC_DIR/serve.log"; exit 1; }
@@ -275,20 +275,20 @@ printf '%s\n' "$REC2" | grep -q "^recovery: replayed 0 job(s)" \
     || { echo "FAIL: second recovery pass was not idempotent: $REC2"; exit 1; }
 echo "crash recovery replayed $REPLAYED job(s); all burst artifacts byte-identical to direct runs"
 
-echo "==> serving-throughput gate (batched dispatch + group-commit journal)"
+echo "==> serving-throughput gate (group-commit journal)"
 fresh_bin hq-bench loadgen
 # The throughput server's journal and artifacts live on tmpfs when the
 # box has one: the CI VM's block device meters fsyncs through a
 # burst-credit IOPS bucket, so on-disk serving throughput measures the
 # hypervisor's token refill rate (4x run-to-run spread on an idle
 # box), not the serving path. tmpfs keeps the syscall and coalescing
-# behaviour — the fsync and occupancy ratios are unchanged — with
-# run-to-run spread under 10%. Durability itself is proven by the
+# behaviour — the fsync ratio is unchanged — with run-to-run spread
+# under 10%. Durability itself is proven by the
 # crash-recovery smoke above and the journal test suite, on disk.
 THR_DIR="$(mktemp -d -p /dev/shm 2>/dev/null || mktemp -d)"
 THR_SOCK="$THR_DIR/hq.sock"
 HQ_RESULTS="$THR_DIR" "$HQ" serve --socket "$THR_SOCK" --workers 2 --queue-depth 64 \
-    --dispatch-batch 8 --commit-window-us 200 >"$THR_DIR/serve.log" 2>&1 &
+    --commit-window-us 200 >"$THR_DIR/serve.log" 2>&1 &
 THR_PID=$!
 for _ in $(seq 1 100); do [ -S "$THR_SOCK" ] && break; sleep 0.1; done
 [ -S "$THR_SOCK" ] || { echo "FAIL: throughput server never bound $THR_SOCK"; cat "$THR_DIR/serve.log"; exit 1; }
@@ -317,17 +317,16 @@ for attempt in 1 2 3; do
 done
 [ "$THR_OK" = 1 ] || { echo "FAIL: serving throughput gate missed on every attempt"; exit 1; }
 
-# Separate verified burst (unchecked for speed): every artifact served
-# through the batched path must be byte-identical to a direct run —
+# Separate verified burst (unchecked for speed): every artifact the
+# server serves must be byte-identical to a direct run —
 # loadgen exits non-zero on any lost or diverging job.
 HQ_RESULTS="$THR_DIR" target/release/loadgen --socket "$THR_SOCK" \
     --jobs 64 --conns 8 --verify >/dev/null \
-    || { echo "FAIL: batched-path artifacts diverge from direct runs"; exit 1; }
+    || { echo "FAIL: served artifacts diverge from direct runs"; exit 1; }
 
 # Group commit must actually bite under the 8-client burst: strictly
 # fewer than one journal fsync per accepted job.
 THR_FSY="$(jfield "$THR_DIR/burst.json" fsyncs_per_accept)"
-THR_OCC="$(jfield "$THR_DIR/burst.json" batch_occupancy)"
 awk -v f="$THR_FSY" 'BEGIN {
     if (f == "" || f + 0 >= 1.0) {
         printf "FAIL: %s fsyncs per accept is not < 1 under the 8-client burst\n", f; exit 1
@@ -336,14 +335,14 @@ awk -v f="$THR_FSY" 'BEGIN {
 HQ_RESULTS="$THR_DIR" "$HQ" submit --socket "$THR_SOCK" --shutdown >/dev/null 2>&1 || kill "$THR_PID" 2>/dev/null || true
 wait "$THR_PID" 2>/dev/null || true
 THR_PID=""
-echo "serving gate: fsyncs/accept $THR_FSY, batch occupancy $THR_OCC"
+echo "serving gate: fsyncs/accept $THR_FSY"
 
 echo "==> fleet failover smoke (3 workers, kill -9 mid-burst)"
 FLEET_TMP="$(mktemp -d)"
 FLEET_DIR="$FLEET_TMP/fleet"
 HQ_RESULTS="$FLEET_TMP/coord-results" "$HQ" serve --tcp 127.0.0.1:0 --fleet 3 \
     --fleet-dir "$FLEET_DIR" --heartbeat-ms 100 \
-    --dispatch-batch 8 --commit-window-us 200 >"$FLEET_TMP/fleet.log" 2>&1 &
+    --commit-window-us 200 >"$FLEET_TMP/fleet.log" 2>&1 &
 FLEET_PID=$!
 for _ in $(seq 1 300); do [ -s "$FLEET_DIR/addr" ] && break; sleep 0.1; done
 [ -s "$FLEET_DIR/addr" ] || { echo "FAIL: coordinator never published its address"; cat "$FLEET_TMP/fleet.log"; exit 1; }
@@ -395,7 +394,7 @@ echo "==> multi-tenant overload gate (flood vs paced, kill -9 mid-backlog)"
 OVL_DIR="$(mktemp -d)"
 OVL_SOCK="$OVL_DIR/hq.sock"
 HQ_RESULTS="$OVL_DIR" "$HQ" serve --socket "$OVL_SOCK" --workers 2 --queue-depth 32 \
-    --tenant-max-queued 4 --dispatch-batch 8 --commit-window-us 200 \
+    --tenant-max-queued 4 --commit-window-us 200 \
     >"$OVL_DIR/serve.log" 2>&1 &
 OVL_PID=$!
 for _ in $(seq 1 100); do [ -S "$OVL_SOCK" ] && break; sleep 0.1; done

@@ -385,7 +385,6 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
         opts.tenant_max_inflight = cli.tenant_max_inflight;
         opts.tenant_rate = cli.tenant_rate;
         opts.brownout_threshold = cli.brownout_threshold;
-        opts.dispatch_batch = cli.dispatch_batch;
         opts.commit_window_us = cli.commit_window_us;
         hq_bench::service::fleet::serve_fleet(opts)?;
         return Ok("fleet drained and stopped".to_string());
@@ -402,7 +401,6 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
     opts.tenant_burst = cli.tenant_burst;
     opts.drr_quantum = cli.drr_quantum;
     opts.brownout_threshold = cli.brownout_threshold;
-    opts.dispatch_batch = cli.dispatch_batch;
     opts.commit_window_us = cli.commit_window_us;
     if let Some(journal) = &cli.journal {
         opts.journal = journal.into();
@@ -495,15 +493,6 @@ fn cmd_submit(cli: &Cli) -> Result<String, String> {
                         s.open_circuits.join(", ")
                     }
                 );
-                let occupancy = if s.dispatches > 0 {
-                    s.dispatched_jobs as f64 / s.dispatches as f64
-                } else {
-                    0.0
-                };
-                out.push_str(&format!(
-                    "\nbatch: dispatches {} jobs {} occupancy {:.2}",
-                    s.dispatches, s.dispatched_jobs, occupancy
-                ));
                 let per_accept = if s.accepts > 0 {
                     s.fsyncs as f64 / s.accepts as f64
                 } else {

@@ -940,28 +940,28 @@ fn kill_nine_inside_commit_window_never_acked_the_lost_record() {
     );
 }
 
-/// Satellite: batched dispatch preserves the tenancy contract. Two
-/// tenants with eight queued jobs each and `tenant_max_inflight 2`
-/// drain through one worker with `dispatch_batch 8`: every wakeup
-/// takes at most two jobs per tenant (four per batch, in DRR order),
-/// both tenants finish fully served, and every artifact is
-/// byte-identical to the single-job `run_job_direct` path.
+/// Dispatch preserves the tenancy contract. Two tenants with eight
+/// queued jobs each and `tenant_max_inflight 2` drain through five
+/// workers, one more than the two caps allow to run at once: no status
+/// snapshot ever shows a tenant over its cap, every wakeup dispatches
+/// one job, both tenants finish fully served, and every artifact is
+/// byte-identical to the single-job `run_job_direct` path. (The DRR
+/// turn order is pinned in-process by the service's unit tests.)
 #[test]
-fn batched_dispatch_respects_drr_and_inflight_caps_with_identical_artifacts() {
+fn dispatch_respects_inflight_caps_with_identical_artifacts() {
     let _env = env_lock();
-    let dirs = TestDirs::new("batch-drr");
+    let dirs = TestDirs::new("drr-caps");
     let mut opts = dirs.opts();
-    opts.workers = 1;
+    opts.workers = 5;
     opts.queue_depth = 64;
-    opts.dispatch_batch = 8;
     opts.tenant_max_inflight = 2;
     opts.commit_window_us = 0; // synchronous accepts for pre-queueing
     let socket = opts.socket.clone();
     let artifact_dir = opts.artifact_dir.clone();
     let (server, _) = Server::new(opts).expect("server");
 
-    // Pre-queue everything before any worker exists, so the first
-    // drain faces the full two-tenant backlog.
+    // Pre-queue everything before any worker exists, so the workers
+    // face the full two-tenant backlog.
     let mut ids: Vec<(u64, JobSpec)> = Vec::new();
     for i in 0..8u64 {
         for tenant in ["alpha", "beta"] {
@@ -981,6 +981,32 @@ fn batched_dispatch_respects_drr_and_inflight_caps_with_identical_artifacts() {
         let server = std::sync::Arc::clone(&server);
         std::thread::spawn(move || server.run())
     };
+    // Watch the drain: every snapshot is taken under the server's
+    // state lock, so a tenant over its cap would show up here.
+    let watcher = {
+        let mut client = connect_with_retry(&socket);
+        std::thread::spawn(move || loop {
+            let Response::Status(s) = client.call(&Request::Status).expect("status") else {
+                panic!("expected status");
+            };
+            for t in &s.tenants {
+                assert!(
+                    t.running <= 2,
+                    "{} runs {} jobs over a cap of 2",
+                    t.tenant,
+                    t.running
+                );
+            }
+            assert!(
+                s.running <= 4,
+                "{} running with two tenants capped at 2",
+                s.running
+            );
+            if s.completed == 16 {
+                break;
+            }
+        })
+    };
     let mut client = connect_with_retry(&socket);
     for (id, _) in &ids {
         match client.call(&Request::Wait(*id)).expect("wait") {
@@ -988,15 +1014,12 @@ fn batched_dispatch_respects_drr_and_inflight_caps_with_identical_artifacts() {
             other => panic!("job {id} failed: {other:?}"),
         }
     }
+    watcher.join().expect("no snapshot broke a cap");
 
     match client.call(&Request::Status).expect("status") {
         Response::Status(s) => {
-            assert_eq!(s.dispatched_jobs, 16, "all jobs flow through batched dispatch");
-            // The inflight cap bounds every batch at two jobs per
-            // tenant, so the 16-job backlog takes exactly four 4-job
-            // dispatches: fewer would mean the cap was ignored, more
-            // would mean batching never engaged.
-            assert_eq!(s.dispatches, 4, "expected four capped 4-job batches");
+            assert_eq!(s.dispatches, 16, "one job per worker wakeup");
+            assert_eq!(s.dispatched_jobs, 16, "all jobs flow through dispatch");
             for tenant in ["alpha", "beta"] {
                 let t = s
                     .tenants
